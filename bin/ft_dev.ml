@@ -422,16 +422,7 @@ let chaos_multi (name : string) ~(workers : int) ~(tcp : int)
               true
           | Some _ | None -> false
         in
-        let should_stop =
-          Option.map
-            (fun p boundary ->
-              let pre =
-                Array.init boundary (fun j ->
-                    match outcomes.(j) with Some o -> o | None -> assert false)
-              in
-              p pre boundary)
-            ex_spec.Executor.should_stop
-        in
+        let should_stop = Executor.boundary_stop ex_spec outcomes in
         let reference =
           Executor.run
             ~cfg:{ Executor.default_config with Executor.jobs = 1 }

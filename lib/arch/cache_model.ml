@@ -102,18 +102,18 @@ let touch t e =
   t.tick <- t.tick + 1;
   e.stamp <- t.tick
 
-let write_back g (mem : int64 array) e set =
+let write_back g (mem : Mem.t) e set =
   let base = ((e.tag * g.sets) + set) * g.line_words in
   for w = 0 to g.line_words - 1 do
     let a = base + w in
-    if a >= 0 && a < Array.length mem then mem.(a) <- e.data.(w)
+    if a >= 0 && a < Mem.length mem then mem.{a} <- e.data.(w)
   done
 
-let fill g (mem : int64 array) e set tag =
+let fill g (mem : Mem.t) e set tag =
   let base = ((tag * g.sets) + set) * g.line_words in
   for w = 0 to g.line_words - 1 do
     let a = base + w in
-    e.data.(w) <- (if a >= 0 && a < Array.length mem then mem.(a) else 0L)
+    e.data.(w) <- (if a >= 0 && a < Mem.length mem then mem.{a} else 0L)
   done;
   e.tag <- tag;
   e.valid <- true;
@@ -122,7 +122,7 @@ let fill g (mem : int64 array) e set tag =
 (* Find (or fill) the line holding word [a]; returns the entry and the
    word offset within the line.  [a] must be a valid memory address —
    the VM bounds-checks before reaching the cache. *)
-let lookup t (mem : int64 array) a =
+let lookup t (mem : Mem.t) a =
   let g = t.geom in
   let line = a / g.line_words in
   let off = a mod g.line_words in

@@ -42,16 +42,16 @@ val create : geometry -> t
 
 val geometry : t -> geometry
 
-val read : t -> int64 array -> int -> int64
+val read : t -> Mem.t -> int -> int64
 (** [read c mem a] returns word [a] through the cache, filling (and
     possibly evicting with write-back) as needed.  [a] must be a valid
     index into [mem]. *)
 
-val write : t -> int64 array -> int -> int64 -> unit
+val write : t -> Mem.t -> int -> int64 -> unit
 (** Write-allocate: misses fill the line first, then the word is
     updated in the cache and the line marked dirty. *)
 
-val flush : t -> int64 array -> unit
+val flush : t -> Mem.t -> unit
 (** Write every dirty line back (in set/way order) and mark it clean.
     Out-of-range writebacks — reachable only through a corrupted tag —
     are dropped. *)

@@ -91,15 +91,28 @@ let machine_recover = function
   | Rollback { max_restores } ->
       Some { Machine.default_recover with max_restores }
 
-(** The classification kernel over a {e resolved} execution function
-    and an optional VM fault.  [None] is the instruction-store case:
-    the corruption already lives in the (mutated) program the runner
-    was resolved for, so the run itself is fault-free. *)
-let classify_run (run : Machine.config -> Machine.result) ~(budget : int)
-    ?(watchdog : Watchdog.t option) ?(recovery = No_recovery)
+(** The classification kernel over a {e resolved}, scoped execution
+    function (see {!Backend.scoped}) and an optional VM fault.  The
+    result is classified inside the run's scope, so under the compiled
+    backend nothing is copied out of the trial arena.  [None] is the
+    instruction-store case: the corruption already lives in the
+    (mutated) program the runner was resolved for, so the run itself
+    is fault-free. *)
+let classify_run
+    (run :
+      Machine.config -> (Machine.result -> outcome_class) -> outcome_class)
+    ~(budget : int) ?(watchdog : Watchdog.t option) ?(recovery = No_recovery)
     ~(verify : Machine.result -> bool) (fault : Machine.fault option) :
     outcome_class =
   let tick = Option.map (fun w () -> Watchdog.check w) watchdog in
+  let classify (r : Machine.result) =
+    match r.outcome with
+    | Machine.Finished ->
+        if not (verify r) then Failed
+        else if r.restores > 0 then Recovered
+        else Success
+    | Machine.Trapped _ | Machine.Budget_exceeded -> Crashed
+  in
   match
     run
       {
@@ -109,23 +122,20 @@ let classify_run (run : Machine.config -> Machine.result) ~(budget : int)
         tick;
         recover = machine_recover recovery;
       }
+      classify
   with
-  | r -> (
-      match r.outcome with
-      | Machine.Finished ->
-          if not (verify r) then Failed
-          else if r.restores > 0 then Recovered
-          else Success
-      | Machine.Trapped _ | Machine.Budget_exceeded -> Crashed)
+  | c -> c
   | exception Watchdog.Timeout _ -> Crashed
 
-(** {!classify_run} with a mandatory VM fault: the historical kernel
-    {!trial_fun} classifies register/memory-surface trials through. *)
+(** {!classify_run} over an owning execution function, with a
+    mandatory VM fault. *)
 let run_one_with (run : Machine.config -> Machine.result) ~(budget : int)
     ?(watchdog : Watchdog.t option) ?(recovery = No_recovery)
     ~(verify : Machine.result -> bool) (fault : Machine.fault) : outcome_class
     =
-  classify_run run ~budget ?watchdog ~recovery ~verify (Some fault)
+  classify_run
+    (fun cfg k -> k (run cfg))
+    ~budget ?watchdog ~recovery ~verify (Some fault)
 
 (** Run one faulty execution and classify it.  [verify] receives the
     machine result of a {e finished} run and decides Success/Failed;
@@ -141,8 +151,8 @@ let run_one ?(backend = Backend.default) (prog : Prog.t) ~(budget : int)
     ?(watchdog : Watchdog.t option) ?(recovery = No_recovery)
     ~(verify : Machine.result -> bool) (fault : Machine.fault) : outcome_class
     =
-  run_one_with (Backend.runner backend prog) ~budget ?watchdog ~recovery
-    ~verify fault
+  classify_run (Backend.scoped backend prog) ~budget ?watchdog ~recovery
+    ~verify (Some fault)
 
 (* --- fault-site populations ------------------------------------------ *)
 
@@ -730,7 +740,7 @@ let trial_fun ?(backend = Backend.default) (prog : Prog.t)
      this compiles (or fetches) the plan in the submitting domain, so
      worker domains and forked server workers share one plan instead of
      racing on the cache *)
-  let run = Backend.runner backend prog in
+  let run = Backend.scoped backend prog in
   fun i ->
     let rng = Rng.derive ~seed:cfg.seed ~index:i in
     let injection = sample_injection ~model:cfg.model rng t in
@@ -739,7 +749,8 @@ let trial_fun ?(backend = Backend.default) (prog : Prog.t)
     in
     match injection with
     | Vm_fault fault ->
-        run_one_with run ~budget ?watchdog ~recovery:cfg.recovery ~verify fault
+        classify_run run ~budget ?watchdog ~recovery:cfg.recovery ~verify
+          (Some fault)
     | Istore_flip { widx; and_mask; or_mask; xor_mask } ->
         (* re-bake the mutated program and run it fault-free: under the
            compiled backend the mutant re-keys the content-addressed
@@ -755,7 +766,7 @@ let trial_fun ?(backend = Backend.default) (prog : Prog.t)
         in
         let mutated = Icodec.mutate prog enc ~fidx ~pc ~word in
         classify_run
-          (Backend.runner backend mutated)
+          (Backend.scoped backend mutated)
           ~budget ?watchdog ~recovery:cfg.recovery ~verify None
 
 let counts_of_outcomes (outcomes : outcome_class Executor.outcome array) :
@@ -765,6 +776,21 @@ let counts_of_outcomes (outcomes : outcome_class Executor.outcome array) :
       | Executor.Done o -> add_outcome acc o
       | Executor.Infra_error _ -> { acc with infra = acc.infra + 1 })
     zero_counts outcomes
+
+(** Wilson-interval early stopping: stop at a boundary once at least
+    {!early_stop_min_trials} trials are classified and the interval's
+    half-width is within the configured margin. *)
+let early_stop (cfg : config) (outcomes : outcome_class Executor.outcome array)
+    (n : int) : bool =
+  let c = counts_of_outcomes outcomes in
+  n >= early_stop_min_trials
+  && c.trials >= early_stop_min_trials
+  &&
+  let lo, hi =
+    Stats.wilson_interval ~successes:c.success ~trials:c.trials
+      ~confidence:cfg.confidence
+  in
+  (hi -. lo) /. 2.0 <= cfg.margin
 
 (** Run a campaign against one target.  [clean_instructions] is the
     fault-free dynamic instruction count (for the hang budget).
@@ -782,21 +808,7 @@ let run_report (prog : Prog.t) ~(verify : Machine.result -> bool)
     trial_fun ~backend:exec.backend prog ~verify ~clean_instructions ~cfg
       ?watchdog_s:exec.watchdog_s t
   in
-  let should_stop =
-    if not exec.early_stop then None
-    else
-      Some
-        (fun (outcomes : outcome_class Executor.outcome array) n ->
-          let c = counts_of_outcomes outcomes in
-          n >= early_stop_min_trials
-          && c.trials >= early_stop_min_trials
-          &&
-          let lo, hi =
-            Stats.wilson_interval ~successes:c.success ~trials:c.trials
-              ~confidence:cfg.confidence
-          in
-          (hi -. lo) /. 2.0 <= cfg.margin)
-  in
+  let should_stop = if exec.early_stop then Some (early_stop cfg) else None in
   let spec =
     {
       Executor.tag = campaign_tag cfg ~population ~trials;

@@ -45,6 +45,16 @@ val recovery_of_string : string -> (recovery, string) result
 val machine_recover : recovery -> Machine.recover option
 (** The VM configuration a policy stands for. *)
 
+(** {2 Classification kernels}
+
+    The borrow contract.  Every [verify] below receives the result of
+    a {e finished} run and must not retain [r.mem] past its return:
+    under the compiled backend ({!Backend.scoped}) the trial is
+    classified inside the run's scope and [r.mem] is the borrowed
+    trial arena, which the next trial overwrites.  Copy the memory
+    ({!Mem.copy}) if a verdict needs it later.  Every in-tree verify
+    reads only [r.output]. *)
+
 val run_one :
   ?backend:Backend.t ->
   Prog.t ->
@@ -69,23 +79,24 @@ val run_one_with :
   verify:(Machine.result -> bool) ->
   Machine.fault ->
   outcome_class
-(** The classification kernel over an already-resolved execution
-    function (see {!Backend.runner}); what {!trial_fun} uses so the
-    compiled plan is resolved once, not per trial. *)
+(** The classification kernel over an already-resolved, owning
+    execution function (see {!Backend.runner}). *)
 
 val classify_run :
-  (Machine.config -> Machine.result) ->
+  (Machine.config -> (Machine.result -> outcome_class) -> outcome_class) ->
   budget:int ->
   ?watchdog:Watchdog.t ->
   ?recovery:recovery ->
   verify:(Machine.result -> bool) ->
   Machine.fault option ->
   outcome_class
-(** The same kernel over an {e optional} VM fault: [None] means the
-    corruption is already baked into the program being run (the
-    instruction-store surface, where a flipped encoding word is decoded
-    back into a mutated program).  [run_one_with] is [classify_run]
-    with the fault always present. *)
+(** The kernel itself, over a scoped execution function (see
+    {!Backend.scoped}) and an {e optional} VM fault: the run is
+    classified inside its scope, so the compiled backend copies
+    nothing out of its trial arena.  [None] means the corruption is
+    already baked into the program being run (the instruction-store
+    surface, where a flipped encoding word is decoded back into a
+    mutated program).  {!trial_fun} classifies through this. *)
 
 (** A fault site carries the width of the datum it corrupts: the
     paper's subjects are C programs whose integers are 32-bit, so
@@ -348,7 +359,9 @@ val trial_fun :
     it cannot matter.  The backend runner (and, for the compiled
     default, the program's plan) is resolved when [trial_fun] is
     applied to the target, before any trial runs — call it in the
-    parent before forking workers or spawning domains. *)
+    parent before forking workers or spawning domains.  Each trial is
+    classified inside its run's scope ({!classify_run}), so [verify]
+    is under the borrow contract above. *)
 
 val encode_outcome : outcome_class -> string
 (** Journal/wire encoding of an outcome: [S], [F], [C], or [R]. *)
@@ -358,6 +371,14 @@ val decode_outcome : string -> outcome_class option
 val counts_of_outcomes : outcome_class Executor.outcome array -> counts
 (** Fold executor outcomes into counts ([Infra_error] increments
     [infra]). *)
+
+val early_stop : config -> outcome_class Executor.outcome array -> int -> bool
+(** The early-stop predicate of [exec.early_stop], an
+    {!Executor.spec.should_stop}: stop at a batch boundary once at
+    least 50 trials are classified and the Wilson interval's
+    half-width on the success rate is within [cfg.margin].  Exposed so
+    other engines over the same trial model (the campaign server)
+    stop at the same index. *)
 
 (** {2 Campaign submission (the wire API)}
 

@@ -107,7 +107,7 @@ let run ?(traced = false) ?(record = false) ?max_live
               Machine.outcome = Machine.Trapped why;
               instructions = 0;
               output = "";
-              mem = [||];
+              mem = Mem.create 0;
               iterations = 0;
               restores = 0;
             };

@@ -1315,13 +1315,12 @@ let check_identity ~(passes : string list) ~(base : Prog.t) ~(opt : Prog.t) :
   | _ -> fail "a fault-free run did not finish");
   if not (String.equal rb.Machine.output ro.Machine.output) then
     fail "fault-free output differs";
-  if Array.length rb.Machine.mem <> Array.length ro.Machine.mem then
-    fail "memory sizes differ";
-  Array.iteri
-    (fun i v ->
-      if not (Int64.equal v ro.Machine.mem.(i)) then
-        fail (Printf.sprintf "final memory differs at word %d" i))
-    rb.Machine.mem;
+  let mb = rb.Machine.mem and mo = ro.Machine.mem in
+  if Mem.length mb <> Mem.length mo then fail "memory sizes differ";
+  for i = 0 to Mem.length mb - 1 do
+    if not (Int64.equal mb.{i} mo.{i}) then
+      fail (Printf.sprintf "final memory differs at word %d" i)
+  done;
   if rb.Machine.iterations <> ro.Machine.iterations then
     fail "main-loop iteration counts differ"
 

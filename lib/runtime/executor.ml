@@ -162,6 +162,23 @@ let load_journal (spec : 'a spec) (path : string) :
 
 (* --- the engine -------------------------------------------------------- *)
 
+(** The spec's early-stop predicate on batch boundaries over an outcome
+    table: asked about boundary [n], it shows the predicate the
+    completed prefix [0..n-1], in index order.  Shared by this engine
+    and the campaign server's scheduler. *)
+let boundary_stop (spec : 'a spec) (outcomes : 'a outcome option array) :
+    (int -> bool) option =
+  Option.map
+    (fun p n ->
+      let prefix =
+        Array.init n (fun i ->
+            match outcomes.(i) with
+            | Some o -> o
+            | None -> invalid_arg "Executor.boundary_stop: unfilled prefix")
+      in
+      p prefix n)
+    spec.should_stop
+
 (* splitmix64 finalizer over (trial, attempt) -> uniform in [0, 1):
    deterministic jitter without depending on a shared RNG stream *)
 let jitter_unit (idx : int) (attempt : int) : float =
@@ -242,6 +259,7 @@ let run ?(cfg = default_config) (spec : 'a spec) : 'a report =
   let resumed = Hashtbl.length journaled in
   let outcomes : 'a outcome option array = Array.make spec.total None in
   Hashtbl.iter (fun i o -> outcomes.(i) <- Some o) journaled;
+  let should_stop = boundary_stop spec outcomes in
   let completed = ref 0 in
   let fresh = ref 0 in
   let stopped = ref false in
@@ -288,14 +306,8 @@ let run ?(cfg = default_config) (spec : 'a spec) : 'a report =
         in
         f { completed = !completed; planned = spec.total; elapsed_s; eta_s }
     | None -> ());
-    match spec.should_stop with
-    | Some p ->
-        (* the predicate sees only the completed prefix, in index order *)
-        let prefix =
-          Array.init !completed (fun i ->
-              match outcomes.(i) with Some o -> o | None -> assert false)
-        in
-        if p prefix !completed then stopped := true
+    match should_stop with
+    | Some p -> if p !completed then stopped := true
     | None -> ()
   done;
   Option.iter Journal.close writer;

@@ -73,6 +73,13 @@ type 'a report = {
   wall_s : float;
 }
 
+val boundary_stop : 'a spec -> 'a outcome option array -> (int -> bool) option
+(** The spec's [should_stop] as a predicate on batch boundaries over an
+    outcome table indexed by trial: asked about boundary [n], it
+    evaluates [should_stop] on the completed prefix [0..n-1].  This
+    engine and the campaign server's adapters share it.
+    @raise Invalid_argument if an outcome below [n] is missing. *)
+
 val run : ?cfg:config -> 'a spec -> 'a report
 (** @raise Failure when resuming against a journal whose tag or plan
     size does not match [spec] (a different campaign's journal). *)

@@ -110,16 +110,7 @@ let run ?(cfg = default_config) ?(idle = fun () -> ())
         true
     | Some _ | None -> false
   in
-  let should_stop =
-    Option.map
-      (fun p boundary ->
-        let pre =
-          Array.init boundary (fun i ->
-              match outcomes.(i) with Some o -> o | None -> assert false)
-        in
-        p pre boundary)
-      spec.Executor.should_stop
-  in
+  let should_stop = Executor.boundary_stop spec outcomes in
   let finished = ref None in
   let poisoned = ref None in
   let failed = ref None in

@@ -22,18 +22,26 @@ let of_string = function
   | "compiled" -> Some Compiled
   | _ -> None
 
-let runner (t : t) (prog : Prog.t) : Machine.config -> Machine.result =
+let scoped (t : t) (prog : Prog.t) :
+    Machine.config -> (Machine.result -> 'a) -> 'a =
   match t with
-  | Interp -> Machine.run prog
+  | Interp -> fun cfg k -> k (Machine.run prog cfg)
   | Compiled ->
       (* compile (or fetch) the plan now, once, so callers can resolve
          the runner before fanning trials out to domains or forked
          workers; the per-run supported check keeps the fallback
          explicit and exact *)
       let plan = Compiled.plan_for prog in
-      fun cfg ->
-        if Compiled.supported cfg then Compiled.run plan cfg
-        else Machine.run prog cfg
+      fun cfg k ->
+        if Compiled.supported cfg then Compiled.run plan cfg k
+        else k (Machine.run prog cfg)
+
+let runner (t : t) (prog : Prog.t) : Machine.config -> Machine.result =
+  match t with
+  | Interp -> Machine.run prog
+  | Compiled ->
+      let run = scoped t prog in
+      fun cfg -> run cfg (fun r -> { r with Machine.mem = Mem.copy r.Machine.mem })
 
 let run (t : t) (prog : Prog.t) (cfg : Machine.config) : Machine.result =
   runner t prog cfg

@@ -15,12 +15,21 @@ val names : string list
 val to_string : t -> string
 val of_string : string -> t option
 
-val runner : t -> Prog.t -> Machine.config -> Machine.result
-(** [runner t prog] resolves the execution function once — for
+val scoped : t -> Prog.t -> Machine.config -> (Machine.result -> 'a) -> 'a
+(** [scoped t prog] resolves the execution function once — for
     [Compiled] this compiles (or fetches the cached) plan eagerly, so
     call it before fanning out to domains or forked workers.  The
-    returned function falls back to the interpreter per run when the
-    config is outside the compiled envelope. *)
+    returned function runs one config and passes the result to its
+    continuation.  Under [Compiled] the result's [mem] is the borrowed
+    trial arena of {!Compiled.run}: valid only inside the
+    continuation, which must not retain it.  Falls back to the
+    interpreter per run when the config is outside the compiled
+    envelope. *)
+
+val runner : t -> Prog.t -> Machine.config -> Machine.result
+(** {!scoped} with an owning continuation: the returned result's
+    memory belongs to the caller (the compiled backend copies it out of
+    its arena).  Resolve it before fanning out, as for {!scoped}. *)
 
 val run : t -> Prog.t -> Machine.config -> Machine.result
 (** One-shot convenience for [runner t prog cfg]. *)

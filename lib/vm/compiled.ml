@@ -8,13 +8,22 @@
     each one tail-calls its successor through the function's step
     array, so the hot loop has no per-step dispatch on the instruction
     constructor, no program counter bookkeeping, and allocates no
-    trace events.  Registers and memory live in unboxed [Bigarray]
-    storage (registers on a growable register stack addressed by a
-    frame base), so the ALU steps compile to plain 64-bit loads and
-    stores — no write barrier, no per-operation boxing — while
-    program memory stays a plain [int64 array] handed back in the
-    result without conversion.  The
-    per-instruction dynamic-seq accounting (budget check, [tick],
+    trace events.  Registers and memory are unboxed [Bigarray]
+    storage: registers on a growable register stack addressed by a
+    frame base, memory the VM's one representation {!Mem.t}.  The ALU,
+    load and store steps therefore compile to plain 64-bit loads and
+    stores — no write barrier, no per-operation boxing.
+
+    A trial allocates next to nothing.  A run borrows a trial arena
+    (memory, register stack, output buffer) from a pool shared by all
+    domains, zero-fills the memory and replays [init_mem] into it,
+    executes, and hands the result to a continuation — the result's
+    [mem] {e is} the arena, valid only until the continuation returns,
+    after which the arena goes back to the pool (also when the
+    continuation raises).  {!Backend.runner} is the owning adapter
+    that copies the memory out.
+
+    The per-instruction dynamic-seq accounting (budget check, [tick],
     memory-fault application, write-fault application, iteration
     markers) is preserved {e exactly}: a compiled run is bit-identical
     to the interpreter on outcome, output, final memory, instruction
@@ -41,7 +50,20 @@
 
 module BA1 = Bigarray.Array1
 
-type ba = (int64, Bigarray.int64_elt, Bigarray.c_layout) BA1.t
+(* --- hot helpers ----------------------------------------------------------- *)
+
+(* These repeat [Value]'s one-liners on purpose.  Dune's default (dev)
+   profile compiles with [-opaque], so a call into another module of
+   the project is never inlined: every [Value.truth] / [Value.to_float]
+   in a step would be a real call that boxes its [int64] or [float]
+   argument and result — most of a trial's allocation.  Defined here
+   with [@inline] (and with comparisons written on [int64]-typed
+   operands, which the compiler specializes to unboxed compares), the
+   step bodies stay unboxed whatever the build profile. *)
+let[@inline] truth (b : bool) : int64 = if b then 1L else 0L
+let[@inline] is_true (v : int64) : bool = v <> 0L
+let[@inline] to_float (v : int64) : float = Int64.float_of_bits v
+let[@inline] of_float (f : float) : int64 = Int64.bits_of_float f
 
 (* --- per-run mutable state --------------------------------------------- *)
 
@@ -50,7 +72,7 @@ type ba = (int64, Bigarray.int64_elt, Bigarray.c_layout) BA1.t
    closures: the hot path pays one integer compare per fault kind per
    instruction instead of the interpreter's constructor match. *)
 type rt = {
-  mem : int64 array;
+  mem : Mem.t;
   mem_len : int;
   out : Buffer.t;
   mutable count : int;  (** dynamic instruction counter (the seq source) *)
@@ -67,17 +89,21 @@ type rt = {
   mf : int64 -> int64;
   iter_mark : int;
   mutable iter : int;
-  mutable rs : ba;  (** register stack, one frame per live activation *)
+  mutable rs : Mem.t;
+      (** register stack, one frame per live activation (unboxed words,
+          stored like memory) *)
   mutable sp : int;  (** first free register-stack slot *)
 }
+
+let segfault_at (a : int) : 'a =
+  raise (Machine.Vm_trap (Printf.sprintf "segfault at address %d" a))
 
 (* mirrors the interpreter's [apply_mem_fault]: bounds-check the
    faulted address (a wild address is a segfault, like any access) *)
 let apply_mem (rt : rt) : unit =
   let a = rt.mf_addr in
-  if a < 0 || a >= rt.mem_len then
-    raise (Machine.Vm_trap (Printf.sprintf "segfault at address %d" a));
-  rt.mem.(a) <- rt.mf (Array.unsafe_get rt.mem a)
+  if a < 0 || a >= rt.mem_len then segfault_at a;
+  BA1.unsafe_set rt.mem a (rt.mf (BA1.unsafe_get rt.mem a))
 
 (* cold half of the per-instruction prologue: runs only when a step's
    seq reaches [next_stop], i.e. the budget boundary or a pending
@@ -108,21 +134,21 @@ let[@inline] pre (rt : rt) : int =
 let max_addr : int64 = Int64.of_int max_int
 
 let[@inline] addr_of (rt : rt) (v : int64) : int =
-  if Int64.compare v 0L < 0 || Int64.compare v max_addr > 0 then
+  if v < 0L || v > max_addr then
     raise (Machine.Vm_trap "segfault: wild address");
-  let a = Value.to_int v in
-  if a < 0 || a >= rt.mem_len then
-    raise (Machine.Vm_trap (Printf.sprintf "segfault at address %d" a));
+  let a = Int64.to_int v in
+  if a < 0 || a >= rt.mem_len then segfault_at a;
   a
 
 (* checked register access for indices the compile-time validation
    could not prove in range: reproduces the interpreter's
    [Invalid_argument] from a plain array access, frame-locally *)
-let getr (rt : rt) (bp : int) (nregs : int) (r : int) : int64 =
+let[@inline] getr (rt : rt) (bp : int) (nregs : int) (r : int) : int64 =
   if r < 0 || r >= nregs then invalid_arg "index out of bounds";
   BA1.unsafe_get rt.rs (bp + r)
 
-let setr (rt : rt) (bp : int) (nregs : int) (r : int) (v : int64) : unit =
+let[@inline] setr (rt : rt) (bp : int) (nregs : int) (r : int) (v : int64) :
+    unit =
   if r < 0 || r >= nregs then invalid_arg "index out of bounds";
   BA1.unsafe_set rt.rs (bp + r) v
 
@@ -226,12 +252,12 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Int64.compare x y < 0)))
+                 (rt.wf (truth (x < y)))
              else
-               BA1.unsafe_set rs (bp + d) (Value.truth (Int64.compare x y < 0)));
+               BA1.unsafe_set rs (bp + d) (truth (x < y)));
             let _ = pre rt in
             (Array.unsafe_get steps
-               (if Value.is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
+               (if is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
               rt bp depth
       | Op.Le ->
           fun rt bp depth ->
@@ -241,13 +267,13 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Int64.compare x y <= 0)))
+                 (rt.wf (truth (x <= y)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.truth (Int64.compare x y <= 0)));
+                 (truth (x <= y)));
             let _ = pre rt in
             (Array.unsafe_get steps
-               (if Value.is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
+               (if is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
               rt bp depth
       | Op.Gt ->
           fun rt bp depth ->
@@ -257,12 +283,12 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Int64.compare x y > 0)))
+                 (rt.wf (truth (x > y)))
              else
-               BA1.unsafe_set rs (bp + d) (Value.truth (Int64.compare x y > 0)));
+               BA1.unsafe_set rs (bp + d) (truth (x > y)));
             let _ = pre rt in
             (Array.unsafe_get steps
-               (if Value.is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
+               (if is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
               rt bp depth
       | Op.Ge ->
           fun rt bp depth ->
@@ -272,13 +298,13 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Int64.compare x y >= 0)))
+                 (rt.wf (truth (x >= y)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.truth (Int64.compare x y >= 0)));
+                 (truth (x >= y)));
             let _ = pre rt in
             (Array.unsafe_get steps
-               (if Value.is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
+               (if is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
               rt bp depth
       | Op.Eq ->
           fun rt bp depth ->
@@ -288,11 +314,11 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Int64.equal x y)))
-             else BA1.unsafe_set rs (bp + d) (Value.truth (Int64.equal x y)));
+                 (rt.wf (truth (x = y)))
+             else BA1.unsafe_set rs (bp + d) (truth (x = y)));
             let _ = pre rt in
             (Array.unsafe_get steps
-               (if Value.is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
+               (if is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
               rt bp depth
       | _ ->
           fun rt bp depth ->
@@ -302,13 +328,13 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (not (Int64.equal x y))))
+                 (rt.wf (truth (x <> y)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.truth (not (Int64.equal x y))));
+                 (truth (x <> y)));
             let _ = pre rt in
             (Array.unsafe_get steps
-               (if Value.is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
+               (if is_true (BA1.unsafe_get rs (bp + d)) then l1 else l2))
               rt bp depth)
   | Instr.Bin (((Op.Add | Op.Or | Op.Ashr) as op1), d, a, b)
     when ok d && ok a && ok b && next < len
@@ -338,7 +364,7 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let seq2 = pre rt in
             let vs = BA1.unsafe_get rs (bp + s2) in
             let addr = addr_of rt (BA1.unsafe_get rs (bp + a2)) in
-            Array.unsafe_set rt.mem addr
+            BA1.unsafe_set rt.mem addr
               (if seq2 = rt.wf_seq then rt.wf vs else vs);
             (if jfuse2 then ignore (pre rt));
             (Array.unsafe_get steps jnext2) rt bp depth
@@ -355,7 +381,7 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let seq2 = pre rt in
             let vs = BA1.unsafe_get rs (bp + s2) in
             let addr = addr_of rt (BA1.unsafe_get rs (bp + a2)) in
-            Array.unsafe_set rt.mem addr
+            BA1.unsafe_set rt.mem addr
               (if seq2 = rt.wf_seq then rt.wf vs else vs);
             (if jfuse2 then ignore (pre rt));
             (Array.unsafe_get steps jnext2) rt bp depth
@@ -371,7 +397,7 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let seq2 = pre rt in
             let vs = BA1.unsafe_get rs (bp + s2) in
             let addr = addr_of rt (BA1.unsafe_get rs (bp + a2)) in
-            Array.unsafe_set rt.mem addr
+            BA1.unsafe_set rt.mem addr
               (if seq2 = rt.wf_seq then rt.wf vs else vs);
             (if jfuse2 then ignore (pre rt));
             (Array.unsafe_get steps jnext2) rt bp depth)
@@ -400,8 +426,8 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let seq2 = pre rt in
             let addr = addr_of rt (BA1.unsafe_get rs (bp + a2)) in
             (if seq2 = rt.wf_seq then
-               BA1.unsafe_set rs (bp + d2) (rt.wf (Array.unsafe_get rt.mem addr))
-             else BA1.unsafe_set rs (bp + d2) (Array.unsafe_get rt.mem addr));
+               BA1.unsafe_set rs (bp + d2) (rt.wf (BA1.unsafe_get rt.mem addr))
+             else BA1.unsafe_set rs (bp + d2) (BA1.unsafe_get rt.mem addr));
             (if jfuse2 then ignore (pre rt));
             (Array.unsafe_get steps jnext2) rt bp depth
       | _ ->
@@ -416,8 +442,8 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let seq2 = pre rt in
             let addr = addr_of rt (BA1.unsafe_get rs (bp + a2)) in
             (if seq2 = rt.wf_seq then
-               BA1.unsafe_set rs (bp + d2) (rt.wf (Array.unsafe_get rt.mem addr))
-             else BA1.unsafe_set rs (bp + d2) (Array.unsafe_get rt.mem addr));
+               BA1.unsafe_set rs (bp + d2) (rt.wf (BA1.unsafe_get rt.mem addr))
+             else BA1.unsafe_set rs (bp + d2) (BA1.unsafe_get rt.mem addr));
             (if jfuse2 then ignore (pre rt));
             (Array.unsafe_get steps jnext2) rt bp depth)
   | Instr.Bin (((Op.Add | Op.Or) as op1), d, a, b)
@@ -512,7 +538,7 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let rs = rt.rs in
             let x = BA1.unsafe_get rs (bp + a)
             and y = BA1.unsafe_get rs (bp + b) in
-            if Int64.equal y 0L then raise (Op.Trap "integer division by zero");
+            if y = 0L then raise (Op.Trap "integer division by zero");
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d) (rt.wf (Int64.div x y))
              else BA1.unsafe_set rs (bp + d) (Int64.div x y));
@@ -524,7 +550,7 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let rs = rt.rs in
             let x = BA1.unsafe_get rs (bp + a)
             and y = BA1.unsafe_get rs (bp + b) in
-            if Int64.equal y 0L then raise (Op.Trap "integer remainder by zero");
+            if y = 0L then raise (Op.Trap "integer remainder by zero");
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d) (rt.wf (Int64.rem x y))
              else BA1.unsafe_set rs (bp + d) (Int64.rem x y));
@@ -608,8 +634,8 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Int64.equal x y)))
-             else BA1.unsafe_set rs (bp + d) (Value.truth (Int64.equal x y)));
+                 (rt.wf (truth (x = y)))
+             else BA1.unsafe_set rs (bp + d) (truth (x = y)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Ne ->
@@ -620,10 +646,10 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (not (Int64.equal x y))))
+                 (rt.wf (truth (x <> y)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.truth (not (Int64.equal x y))));
+                 (truth (x <> y)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Lt ->
@@ -634,9 +660,9 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Int64.compare x y < 0)))
+                 (rt.wf (truth (x < y)))
              else
-               BA1.unsafe_set rs (bp + d) (Value.truth (Int64.compare x y < 0)));
+               BA1.unsafe_set rs (bp + d) (truth (x < y)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Le ->
@@ -647,10 +673,10 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Int64.compare x y <= 0)))
+                 (rt.wf (truth (x <= y)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.truth (Int64.compare x y <= 0)));
+                 (truth (x <= y)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Gt ->
@@ -661,9 +687,9 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Int64.compare x y > 0)))
+                 (rt.wf (truth (x > y)))
              else
-               BA1.unsafe_set rs (bp + d) (Value.truth (Int64.compare x y > 0)));
+               BA1.unsafe_set rs (bp + d) (truth (x > y)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Ge ->
@@ -674,10 +700,10 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Int64.compare x y >= 0)))
+                 (rt.wf (truth (x >= y)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.truth (Int64.compare x y >= 0)));
+                 (truth (x >= y)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Fadd ->
@@ -689,10 +715,10 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
                  (rt.wf
-                    (Value.of_float (Value.to_float x +. Value.to_float y)))
+                    (of_float (to_float x +. to_float y)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.of_float (Value.to_float x +. Value.to_float y)));
+                 (of_float (to_float x +. to_float y)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Fsub ->
@@ -704,10 +730,10 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
                  (rt.wf
-                    (Value.of_float (Value.to_float x -. Value.to_float y)))
+                    (of_float (to_float x -. to_float y)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.of_float (Value.to_float x -. Value.to_float y)));
+                 (of_float (to_float x -. to_float y)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Fmul ->
@@ -719,10 +745,10 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
                  (rt.wf
-                    (Value.of_float (Value.to_float x *. Value.to_float y)))
+                    (of_float (to_float x *. to_float y)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.of_float (Value.to_float x *. Value.to_float y)));
+                 (of_float (to_float x *. to_float y)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Fdiv ->
@@ -734,10 +760,10 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
                  (rt.wf
-                    (Value.of_float (Value.to_float x /. Value.to_float y)))
+                    (of_float (to_float x /. to_float y)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.of_float (Value.to_float x /. Value.to_float y)));
+                 (of_float (to_float x /. to_float y)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Flt ->
@@ -748,10 +774,10 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Value.to_float x < Value.to_float y)))
+                 (rt.wf (truth (to_float x < to_float y)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.truth (Value.to_float x < Value.to_float y)));
+                 (truth (to_float x < to_float y)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Fle ->
@@ -762,10 +788,10 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Value.to_float x <= Value.to_float y)))
+                 (rt.wf (truth (to_float x <= to_float y)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.truth (Value.to_float x <= Value.to_float y)));
+                 (truth (to_float x <= to_float y)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Fgt ->
@@ -776,10 +802,10 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Value.to_float x > Value.to_float y)))
+                 (rt.wf (truth (to_float x > to_float y)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.truth (Value.to_float x > Value.to_float y)));
+                 (truth (to_float x > to_float y)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Fge ->
@@ -790,10 +816,10 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             and y = BA1.unsafe_get rs (bp + b) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.truth (Value.to_float x >= Value.to_float y)))
+                 (rt.wf (truth (to_float x >= to_float y)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.truth (Value.to_float x >= Value.to_float y)));
+                 (truth (to_float x >= to_float y)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Imin ->
@@ -802,7 +828,7 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let rs = rt.rs in
             let x = BA1.unsafe_get rs (bp + a)
             and y = BA1.unsafe_get rs (bp + b) in
-            let v = if Int64.compare x y <= 0 then x else y in
+            let v = if x <= y then x else y in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d) (rt.wf v)
              else BA1.unsafe_set rs (bp + d) v);
@@ -814,7 +840,7 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let rs = rt.rs in
             let x = BA1.unsafe_get rs (bp + a)
             and y = BA1.unsafe_get rs (bp + b) in
-            let v = if Int64.compare x y >= 0 then x else y in
+            let v = if x >= y then x else y in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d) (rt.wf v)
              else BA1.unsafe_set rs (bp + d) v);
@@ -866,10 +892,10 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let x = BA1.unsafe_get rs (bp + a) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.of_float (-.Value.to_float x)))
+                 (rt.wf (of_float (-.to_float x)))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.of_float (-.Value.to_float x)));
+                 (of_float (-.to_float x)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Fabs ->
@@ -879,10 +905,10 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let x = BA1.unsafe_get rs (bp + a) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.of_float (Float.abs (Value.to_float x))))
+                 (rt.wf (of_float (Float.abs (to_float x))))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.of_float (Float.abs (Value.to_float x))));
+                 (of_float (Float.abs (to_float x))));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Trunc32 ->
@@ -905,9 +931,9 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let x = BA1.unsafe_get rs (bp + a) in
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
-                 (rt.wf (Value.of_float (Int64.to_float x)))
+                 (rt.wf (of_float (Int64.to_float x)))
              else
-               BA1.unsafe_set rs (bp + d) (Value.of_float (Int64.to_float x)));
+               BA1.unsafe_set rs (bp + d) (of_float (Int64.to_float x)));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.F32round ->
@@ -918,14 +944,14 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             (if seq = rt.wf_seq then
                BA1.unsafe_set rs (bp + d)
                  (rt.wf
-                    (Value.of_float
+                    (of_float
                        (Int32.float_of_bits
-                          (Int32.bits_of_float (Value.to_float x)))))
+                          (Int32.bits_of_float (to_float x)))))
              else
                BA1.unsafe_set rs (bp + d)
-                 (Value.of_float
+                 (of_float
                     (Int32.float_of_bits
-                       (Int32.bits_of_float (Value.to_float x)))));
+                       (Int32.bits_of_float (to_float x)))));
             (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
       | Op.Fsqrt | Op.Fsin | Op.Fcos | Op.IntOfFloat ->
@@ -965,8 +991,8 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let rs = rt.rs in
             let addr = addr_of rt (BA1.unsafe_get rs (bp + a)) in
             (if seq = rt.wf_seq then
-               BA1.unsafe_set rs (bp + d) (rt.wf (Array.unsafe_get rt.mem addr))
-             else BA1.unsafe_set rs (bp + d) (Array.unsafe_get rt.mem addr));
+               BA1.unsafe_set rs (bp + d) (rt.wf (BA1.unsafe_get rt.mem addr))
+             else BA1.unsafe_set rs (bp + d) (BA1.unsafe_get rt.mem addr));
             let seq2 = pre rt in
             let x2 = BA1.unsafe_get rs (bp + a2)
             and y2 = BA1.unsafe_get rs (bp + b2) in
@@ -981,8 +1007,8 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let rs = rt.rs in
             let addr = addr_of rt (BA1.unsafe_get rs (bp + a)) in
             (if seq = rt.wf_seq then
-               BA1.unsafe_set rs (bp + d) (rt.wf (Array.unsafe_get rt.mem addr))
-             else BA1.unsafe_set rs (bp + d) (Array.unsafe_get rt.mem addr));
+               BA1.unsafe_set rs (bp + d) (rt.wf (BA1.unsafe_get rt.mem addr))
+             else BA1.unsafe_set rs (bp + d) (BA1.unsafe_get rt.mem addr));
             let seq2 = pre rt in
             let x2 = BA1.unsafe_get rs (bp + a2)
             and y2 = BA1.unsafe_get rs (bp + b2) in
@@ -1009,12 +1035,12 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
         let rs = rt.rs in
         let addr = addr_of rt (BA1.unsafe_get rs (bp + a)) in
         (if seq = rt.wf_seq then
-           BA1.unsafe_set rs (bp + d) (rt.wf (Array.unsafe_get rt.mem addr))
-         else BA1.unsafe_set rs (bp + d) (Array.unsafe_get rt.mem addr));
+           BA1.unsafe_set rs (bp + d) (rt.wf (BA1.unsafe_get rt.mem addr))
+         else BA1.unsafe_set rs (bp + d) (BA1.unsafe_get rt.mem addr));
         let seq2 = pre rt in
         let vs = BA1.unsafe_get rs (bp + s2) in
         let addr2 = addr_of rt (BA1.unsafe_get rs (bp + a2)) in
-        Array.unsafe_set rt.mem addr2
+        BA1.unsafe_set rt.mem addr2
           (if seq2 = rt.wf_seq then rt.wf vs else vs);
         (if jfuse2 then ignore (pre rt));
         (Array.unsafe_get steps jnext2) rt bp depth
@@ -1024,15 +1050,15 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
         let rs = rt.rs in
         let addr = addr_of rt (BA1.unsafe_get rs (bp + a)) in
         (if seq = rt.wf_seq then
-           BA1.unsafe_set rs (bp + d) (rt.wf (Array.unsafe_get rt.mem addr))
-         else BA1.unsafe_set rs (bp + d) (Array.unsafe_get rt.mem addr));
+           BA1.unsafe_set rs (bp + d) (rt.wf (BA1.unsafe_get rt.mem addr))
+         else BA1.unsafe_set rs (bp + d) (BA1.unsafe_get rt.mem addr));
         (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
   | Instr.Load (d, a) ->
       fun rt bp depth ->
         let seq = pre rt in
         let addr = addr_of rt (getr rt bp nregs a) in
-        let v = Array.unsafe_get rt.mem addr in
+        let v = BA1.unsafe_get rt.mem addr in
         setr rt bp nregs d (if seq = rt.wf_seq then rt.wf v else v);
         (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
@@ -1056,7 +1082,7 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let rs = rt.rs in
             let vs = BA1.unsafe_get rs (bp + s) in
             let addr = addr_of rt (BA1.unsafe_get rs (bp + a)) in
-            Array.unsafe_set rt.mem addr
+            BA1.unsafe_set rt.mem addr
               (if seq = rt.wf_seq then rt.wf vs else vs);
             let seq2 = pre rt in
             let x2 = BA1.unsafe_get rs (bp + a2)
@@ -1072,7 +1098,7 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let rs = rt.rs in
             let vs = BA1.unsafe_get rs (bp + s) in
             let addr = addr_of rt (BA1.unsafe_get rs (bp + a)) in
-            Array.unsafe_set rt.mem addr
+            BA1.unsafe_set rt.mem addr
               (if seq = rt.wf_seq then rt.wf vs else vs);
             let seq2 = pre rt in
             let x2 = BA1.unsafe_get rs (bp + a2)
@@ -1088,7 +1114,7 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
         let rs = rt.rs in
         let vs = BA1.unsafe_get rs (bp + s) in
         let addr = addr_of rt (BA1.unsafe_get rs (bp + a)) in
-        Array.unsafe_set rt.mem addr (if seq = rt.wf_seq then rt.wf vs else vs);
+        BA1.unsafe_set rt.mem addr (if seq = rt.wf_seq then rt.wf vs else vs);
         (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
   | Instr.Store (s, a) ->
@@ -1096,7 +1122,7 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
         let seq = pre rt in
         let vs = getr rt bp nregs s in
         let addr = addr_of rt (getr rt bp nregs a) in
-        Array.unsafe_set rt.mem addr (if seq = rt.wf_seq then rt.wf vs else vs);
+        BA1.unsafe_set rt.mem addr (if seq = rt.wf_seq then rt.wf vs else vs);
         (if jfuse then ignore (pre rt));
         (Array.unsafe_get steps jnext) rt bp depth
   | Instr.Jmp l ->
@@ -1109,14 +1135,14 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
       fun rt bp depth ->
         let _ = pre rt in
         (Array.unsafe_get steps
-           (if Value.is_true (BA1.unsafe_get rt.rs (bp + c)) then l1 else l2))
+           (if is_true (BA1.unsafe_get rt.rs (bp + c)) then l1 else l2))
           rt bp depth
   | Instr.Bnz (c, l1, l2) ->
       let l1 = tgt l1 and l2 = tgt l2 in
       fun rt bp depth ->
         let _ = pre rt in
         (Array.unsafe_get steps
-           (if Value.is_true (getr rt bp nregs c) then l1 else l2))
+           (if is_true (getr rt bp nregs c) then l1 else l2))
           rt bp depth
   | Instr.Call (callee, argregs, ret) -> (
       let nargs = Array.length argregs in
@@ -1175,11 +1201,11 @@ let compile_step ~(call_exec : rt -> int -> int64 array -> int -> int64 option)
             let seq = pre rt in
             let argv = read_args rt bp in
             let saddr = addr_of rt argv.(0) in
-            let a = Value.to_float argv.(1) in
-            let x = Value.to_float (Array.unsafe_get rt.mem saddr) in
+            let a = to_float argv.(1) in
+            let x = to_float (BA1.unsafe_get rt.mem saddr) in
             let x', r = Machine.randlc_step x a in
-            rt.mem.(saddr) <- Value.of_float x';
-            let v = Value.of_float r in
+            BA1.unsafe_set rt.mem saddr (of_float x');
+            let v = of_float r in
             if seq = rt.wf_seq then rt.wf v else v
           in
           match ret with
@@ -1376,15 +1402,61 @@ let supported (cfg : Machine.config) : bool =
           true)
   | _ -> false
 
-let run (p : plan) (cfg : Machine.config) : Machine.result =
+(* --- trial arenas ------------------------------------------------------------ *)
+
+(* The per-run storage a trial reuses instead of allocating: memory,
+   register stack and output buffer.  A run whose calls outgrow the
+   register stack leaves the grown stack here for the next run. *)
+type arena = { mutable a_mem : Mem.t; mutable a_rs : Mem.t; a_out : Buffer.t }
+
+(* One pool for all domains: a run takes an arena and gives it back, so
+   the pool never holds more arenas than runs were once in flight
+   together.  (Per-domain arenas would be stranded each time the
+   executor's domain pool respawns its domains, i.e. every batch.) *)
+let arenas : arena list ref = ref []
+let arenas_mutex = Mutex.create ()
+
+let take_arena (mem_len : int) : arena =
+  Mutex.lock arenas_mutex;
+  let pooled =
+    match !arenas with
+    | a :: rest ->
+        arenas := rest;
+        Some a
+    | [] -> None
+  in
+  Mutex.unlock arenas_mutex;
+  match pooled with
+  | Some a ->
+      if Mem.length a.a_mem <> mem_len then a.a_mem <- Mem.create mem_len;
+      a
+  | None ->
+      {
+        a_mem = Mem.create mem_len;
+        a_rs = BA1.create Bigarray.int64 Bigarray.c_layout 4096;
+        a_out = Buffer.create 256;
+      }
+
+let give_back (a : arena) : unit =
+  Mutex.lock arenas_mutex;
+  arenas := a :: !arenas;
+  Mutex.unlock arenas_mutex
+
+module Private = struct
+  let pooled_arenas () : int list =
+    Mutex.protect arenas_mutex (fun () ->
+        List.map (fun a -> BA1.dim a.a_rs) !arenas)
+end
+
+let run (p : plan) (cfg : Machine.config) (k : Machine.result -> 'a) : 'a =
   if not (supported cfg) then
     invalid_arg
       "Compiled.run: config needs the interpreter (trace, sink, MPI hooks, \
        recovery, or a cache fault attached)";
   let prog = p.p_prog in
   let mem_len = prog.Prog.mem_size in
-  let mem = Array.make mem_len 0L in
-  List.iter (fun (a, v) -> mem.(a) <- v) prog.Prog.init_mem;
+  let arena = take_arena mem_len in
+  Buffer.clear arena.a_out;
   let wf_seq, wf =
     match cfg.Machine.fault with
     | Some (Machine.Flip_write { seq; bit }) ->
@@ -1413,9 +1485,9 @@ let run (p : plan) (cfg : Machine.config) : Machine.result =
   in
   let rt =
     {
-      mem;
+      mem = arena.a_mem;
       mem_len;
-      out = Buffer.create 256;
+      out = arena.a_out;
       count = 0;
       budget = cfg.Machine.budget;
       next_stop =
@@ -1430,24 +1502,33 @@ let run (p : plan) (cfg : Machine.config) : Machine.result =
       mf;
       iter_mark = cfg.Machine.iter_mark;
       iter = -1;
-      rs = BA1.create Bigarray.int64 Bigarray.c_layout 4096;
+      rs = arena.a_rs;
       sp = 0;
     }
   in
-  let outcome =
-    try
-      ignore (p.p_exec rt prog.Prog.entry [||] 0);
-      Machine.Finished
-    with
-    | Machine.Budget -> Machine.Budget_exceeded
-    | Machine.Vm_trap msg -> Machine.Trapped msg
-    | Op.Trap msg -> Machine.Trapped msg
-  in
-  {
-    Machine.outcome;
-    instructions = rt.count;
-    output = Buffer.contents rt.out;
-    mem;
-    iterations = rt.iter + 1;
-    restores = 0;
-  }
+  Fun.protect
+    ~finally:(fun () ->
+      arena.a_rs <- rt.rs;
+      give_back arena)
+    (fun () ->
+      (* inside the scope: an out-of-range [init_mem] address raises
+         here, as in the interpreter, and the arena still goes back *)
+      Mem.init_into prog arena.a_mem;
+      let outcome =
+        try
+          ignore (p.p_exec rt prog.Prog.entry [||] 0);
+          Machine.Finished
+        with
+        | Machine.Budget -> Machine.Budget_exceeded
+        | Machine.Vm_trap msg -> Machine.Trapped msg
+        | Op.Trap msg -> Machine.Trapped msg
+      in
+      k
+        {
+          Machine.outcome;
+          instructions = rt.count;
+          output = Buffer.contents rt.out;
+          mem = rt.mem;
+          iterations = rt.iter + 1;
+          restores = 0;
+        })

@@ -12,7 +12,7 @@
     interpreter; {!Backend} does that fallback automatically. *)
 
 type plan
-(** A program compiled to arrays of instruction thunks.  Pure and
+(** A program compiled to arrays of instruction thunks.  Immutable and
     reusable: one plan serves any number of concurrent runs. *)
 
 val compile : Prog.t -> plan
@@ -32,9 +32,28 @@ val supported : Machine.config -> bool
     hooks and no recovery — the envelope within which [run] is
     bit-identical to the interpreter. *)
 
-val run : plan -> Machine.config -> Machine.result
-(** Execute.  Faults, budgets, ticks, iteration marks and the trap
-    taxonomy behave exactly as in {!Machine.run}; [restores] is 0.
+val run : plan -> Machine.config -> (Machine.result -> 'a) -> 'a
+(** [run plan cfg k] executes and returns [k result].  Faults,
+    budgets, ticks, iteration marks and the trap taxonomy behave
+    exactly as in {!Machine.run}; [restores] is 0.
+
+    The run borrows a trial arena from a pool shared by all domains and
+    writes the program's initial memory into it ({!Mem.init_into});
+    [result.mem] {e is} that arena's memory.  It is valid only while
+    [k] runs: the arena goes back to the pool when [k] returns or
+    raises, and the next run overwrites it.  [k] must not retain [result.mem] (copy it with
+    {!Mem.copy} if it must outlive [k] — {!Backend.runner} does).
+    Exceptions from [k] and from [cfg.tick] propagate.
     @raise Invalid_argument if the config is not {!supported} —
     callers decide the fallback, this module never silently changes
-    semantics. *)
+    semantics — or, as in {!Machine.run}, if the program's [init_mem]
+    writes outside its memory. *)
+
+(**/**)
+
+(** Pool introspection for tests; not part of the interface. *)
+module Private : sig
+  val pooled_arenas : unit -> int list
+  (** The register-stack capacity, in slots, of each trial arena now
+      in the pool, most recently returned first. *)
+end

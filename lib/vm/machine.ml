@@ -139,7 +139,9 @@ type result = {
   outcome : outcome;
   instructions : int;  (** dynamic instructions executed *)
   output : string;     (** accumulated formatted prints *)
-  mem : int64 array;   (** final memory image *)
+  mem : Mem.t;
+      (** final memory image; borrowed inside {!Compiled.run}'s
+          continuation, owned everywhere else *)
   iterations : int;    (** main-loop iterations observed (from markers) *)
   restores : int;      (** checkpoint rollbacks taken (0 without [recover]) *)
 }
@@ -233,8 +235,7 @@ let format_output (fmt : string) (vals : Value.t list) : string =
 let max_call_depth = 4096
 
 let run (prog : Prog.t) (cfg : config) : result =
-  let mem = Array.make prog.mem_size 0L in
-  List.iter (fun (a, v) -> mem.(a) <- v) prog.init_mem;
+  let mem = Mem.image prog in
   let out = Buffer.create 256 in
   let count = ref 0 in
   let next_act = ref 0 in
@@ -244,7 +245,7 @@ let run (prog : Prog.t) (cfg : config) : result =
   let prev_eff = ref (-1) in
   let cur_inst = ref (-1) in
   let check_addr a =
-    if a < 0 || a >= Array.length mem then
+    if a < 0 || a >= Mem.length mem then
       raise (Vm_trap (Printf.sprintf "segfault at address %d" a))
   in
   let addr_of_value (v : Value.t) : int =
@@ -264,11 +265,11 @@ let run (prog : Prog.t) (cfg : config) : result =
         None
   in
   let mread a =
-    match cache with None -> mem.(a) | Some c -> Cache_model.read c mem a
+    match cache with None -> mem.{a} | Some c -> Cache_model.read c mem a
   in
   let mwrite a v =
     match cache with
-    | None -> mem.(a) <- v
+    | None -> mem.{a} <- v
     | Some c -> Cache_model.write c mem a v
   in
   let maybe_flip seq v =
@@ -285,11 +286,11 @@ let run (prog : Prog.t) (cfg : config) : result =
     match cfg.fault with
     | Some (Flip_mem { seq = s; addr; bit }) when s = seq ->
         check_addr addr;
-        mem.(addr) <- Value.flip_bit mem.(addr) bit
+        mem.{addr} <- Value.flip_bit mem.{addr} bit
     | Some (Mask_mem { seq = s; addr; and_mask; or_mask; xor_mask })
       when s = seq ->
         check_addr addr;
-        mem.(addr) <- apply_masks mem.(addr) ~and_mask ~or_mask ~xor_mask
+        mem.{addr} <- apply_masks mem.{addr} ~and_mask ~or_mask ~xor_mask
     | Some (Cache_fault { seq = s; loc; and_mask; or_mask; xor_mask; _ })
       when s = seq -> (
         match cache with
@@ -336,7 +337,7 @@ let run (prog : Prog.t) (cfg : config) : result =
       | Some r -> (r.max_restores, max 1 r.snapshot_interval)
       | None -> (0, max_int)
     in
-    let snap_mem = if protected then Array.copy mem else [||] in
+    let snap_mem = if protected then Mem.copy mem else Mem.create 0 in
     let snap_regs = if protected then Array.copy regs else [||] in
     let snap_counters = if protected then Array.copy inst_counters else [||] in
     let snap_pc = ref 0 in
@@ -350,7 +351,7 @@ let run (prog : Prog.t) (cfg : config) : result =
       (* dirty cache lines must land in [mem] before it is copied, or a
          restore would resurrect pre-writeback values *)
       (match cache with Some c -> Cache_model.flush c mem | None -> ());
-      Array.blit mem 0 snap_mem 0 (Array.length mem);
+      Bigarray.Array1.blit mem snap_mem;
       Array.blit regs 0 snap_regs 0 (Array.length regs);
       Array.blit inst_counters 0 snap_counters 0 (Array.length inst_counters);
       snap_pc := !pc;
@@ -367,7 +368,7 @@ let run (prog : Prog.t) (cfg : config) : result =
         (* rollback: buffered (possibly corrupted) lines die with the
            discarded state — the restored memory is the truth *)
         (match cache with Some c -> Cache_model.invalidate c | None -> ());
-        Array.blit snap_mem 0 mem 0 (Array.length mem);
+        Bigarray.Array1.blit snap_mem mem;
         Array.blit snap_regs 0 regs 0 (Array.length regs);
         Array.blit snap_counters 0 inst_counters 0 (Array.length inst_counters);
         pc := !snap_pc;

@@ -101,7 +101,11 @@ type result = {
   outcome : outcome;
   instructions : int;
   output : string;     (** accumulated formatted prints *)
-  mem : int64 array;   (** final memory image *)
+  mem : Mem.t;
+      (** final memory image.  Owned by the caller, except inside the
+          continuation of {!Compiled.run}: there it is the borrowed
+          trial arena, valid only until the continuation returns
+          ({!Backend.runner} hands out an owned copy). *)
   iterations : int;    (** main-loop iterations observed *)
   restores : int;      (** checkpoint rollbacks taken (0 without [recover]) *)
 }

@@ -139,7 +139,7 @@ let test_mutants_classified_both_backends () =
     let mutated = Icodec.mutate prog enc ~fidx ~pc ~word in
     let cfg = { Machine.default_config with budget } in
     let ri = Machine.run mutated cfg in
-    let rc = Compiled.run (Compiled.plan_for mutated) cfg in
+    let rc = Backend.run Backend.Compiled mutated cfg in
     Alcotest.(check bool)
       (Printf.sprintf "mutant %d backend-identical" i)
       true
@@ -150,11 +150,14 @@ let test_mutants_classified_both_backends () =
 
 (* --- cache model -------------------------------------------------------- *)
 
+let mem_of (words : int64 array) : Mem.t =
+  Bigarray.Array1.of_array Bigarray.int64 Bigarray.c_layout words
+
 let test_cache_transparent () =
   let geom = { Cache_model.sets = 4; ways = 2; line_words = 2 } in
   let n = 64 in
-  let cached = Array.init n (fun i -> Int64.of_int (i * 3)) in
-  let flat = Array.copy cached in
+  let flat = Array.init n (fun i -> Int64.of_int (i * 3)) in
+  let cached = mem_of flat in
   let c = Cache_model.create geom in
   for i = 0 to 999 do
     let rng = Rng.derive ~seed:5 ~index:i in
@@ -171,27 +174,28 @@ let test_cache_transparent () =
         (Cache_model.read c cached a = flat.(a))
   done;
   Cache_model.flush c cached;
-  Alcotest.(check bool) "flush restores the exact image" true (cached = flat)
+  Alcotest.(check bool) "flush restores the exact image" true
+    (cached = mem_of flat)
 
 let test_cache_dirty_flip_loses_store () =
   let geom = { Cache_model.sets = 1; ways = 1; line_words = 1 } in
-  let mem = [| 42L |] in
+  let mem = mem_of [| 42L |] in
   let c = Cache_model.create geom in
   Cache_model.write c mem 0 99L;
   Alcotest.(check bool) "store buffered, not yet in memory" true
-    (mem.(0) = 42L);
+    (mem.{0} = 42L);
   (* the flipped dirty bit silently drops the buffered store *)
   Cache_model.corrupt c
     { Cache_model.set = 0; way = 0; field = Cache_model.Dirty }
     ~f:(fun _ -> 0L);
   Cache_model.flush c mem;
-  Alcotest.(check bool) "store lost at eviction" true (mem.(0) = 42L)
+  Alcotest.(check bool) "store lost at eviction" true (mem.{0} = 42L)
 
 let test_cache_tag_flip_serves_wrong_word () =
   (* two addresses in the same set; renaming one line's tag onto the
      other address makes a read silently see the wrong word *)
   let geom = { Cache_model.sets = 1; ways = 2; line_words = 1 } in
-  let mem = [| 10L; 20L |] in
+  let mem = mem_of [| 10L; 20L |] in
   let c = Cache_model.create geom in
   Alcotest.(check bool) "a0" true (Cache_model.read c mem 0 = 10L);
   Cache_model.corrupt c

@@ -27,9 +27,11 @@ let programs () : (string * Prog.t * int) list =
       ])
     Registry.all
 
+(* the compiled side is checked inside the run's scope, on the borrowed
+   arena itself *)
 let run_both (label : string) (prog : Prog.t) (cfg : Machine.config) =
   let ri = Machine.run prog cfg in
-  let rc = Compiled.run (Compiled.plan_for prog) cfg in
+  Compiled.run (Compiled.plan_for prog) cfg @@ fun rc ->
   Alcotest.(check string) (label ^ " outcome")
     (outcome_str ri.Machine.outcome)
     (outcome_str rc.Machine.outcome);
@@ -115,9 +117,9 @@ let test_fallback () =
        "Compiled.run: config needs the interpreter (trace, sink, MPI hooks, \
         recovery, or a cache fault attached)")
     (fun () ->
-      ignore
-        (Compiled.run (Compiled.plan_for prog)
-           { Machine.default_config with trace = Some (Trace.create ()) }));
+      Compiled.run (Compiled.plan_for prog)
+        { Machine.default_config with trace = Some (Trace.create ()) }
+        ignore);
   Alcotest.(check bool) "supported: plain" true
     (Compiled.supported Machine.default_config);
   Alcotest.(check bool) "supported: traced" false
@@ -138,6 +140,135 @@ let test_fallback () =
     (r.Machine.outcome = Machine.Finished);
   Alcotest.(check bool) "fallback produced events" true (Trace.length t > 0)
 
+(* --- ownership and the trial arena ------------------------------------ *)
+
+let is_setup () =
+  let app = Registry.find "IS" in
+  let prog = App.program app in
+  let clean = Machine.run prog Machine.default_config in
+  let budget = 20 * clean.Machine.instructions in
+  let faulty k =
+    {
+      Machine.default_config with
+      budget;
+      fault =
+        Some
+          (Machine.Flip_write
+             { seq = (k * 7919) mod clean.Machine.instructions; bit = k mod 64 });
+    }
+  in
+  (prog, faulty)
+
+(* an owned result survives every later run: the copy is the caller's,
+   not the arena the next run (here or on another domain) overwrites *)
+let test_runner_result_is_owned () =
+  let prog, faulty = is_setup () in
+  let run = Backend.runner Backend.Compiled prog in
+  let kept = run (faulty 1) in
+  let snapshot = Mem.copy kept.Machine.mem in
+  Alcotest.(check bool) "equals the interpreter's memory" true
+    ((Machine.run prog (faulty 1)).Machine.mem = snapshot);
+  for k = 2 to 5 do
+    ignore (run (faulty k))
+  done;
+  Alcotest.(check bool) "unchanged by later runs on this domain" true
+    (kept.Machine.mem = snapshot);
+  let others =
+    List.init 2 (fun d ->
+        Domain.spawn (fun () ->
+            for k = 6 + (3 * d) to 8 + (3 * d) do
+              ignore (run (faulty k))
+            done))
+  in
+  List.iter Domain.join others;
+  Alcotest.(check bool) "unchanged by runs on other domains" true
+    (kept.Machine.mem = snapshot)
+
+(* an exception escaping the scope (from the continuation, or from the
+   tick hook mid-run) still returns the arena, and the next run on that
+   arena is bit-identical to the interpreter *)
+let test_scope_exception_returns_arena () =
+  let prog, faulty = is_setup () in
+  let plan = Compiled.plan_for prog in
+  Compiled.run plan (faulty 1) ignore;
+  let pooled = List.length (Compiled.Private.pooled_arenas ()) in
+  Alcotest.check_raises "continuation's exception propagates" Exit (fun () ->
+      Compiled.run plan (faulty 2) (fun _ -> raise Exit));
+  Alcotest.(check int) "arena returned after the continuation raised" pooled
+    (List.length (Compiled.Private.pooled_arenas ()));
+  let ticks = ref 0 in
+  let stop_mid_run () =
+    incr ticks;
+    if !ticks = 1000 then raise Exit
+  in
+  Alcotest.check_raises "tick's exception propagates" Exit (fun () ->
+      Compiled.run plan { (faulty 3) with tick = Some stop_mid_run } ignore);
+  Alcotest.(check int) "arena returned after a run was cut short" pooled
+    (List.length (Compiled.Private.pooled_arenas ()));
+  run_both "next run after the exceptions" prog (faulty 4)
+
+(* [main] calls [g] with 3000 registers per frame: 6000 live slots, past
+   the arena's initial 4096-slot register stack.  [g] stores a register
+   it never writes, which must read 0 — a reused, grown stack must still
+   hand every frame zeroed registers. *)
+let deep_stack_program () : Prog.t =
+  let func fname code =
+    {
+      Prog.fname;
+      nregs = 3000;
+      code;
+      lines = Array.map (fun _ -> 0) code;
+      regions = Array.map (fun _ -> -1) code;
+    }
+  in
+  let main =
+    func "main"
+      Instr.
+        [|
+          Const (2998, 99L);
+          Call (1, [||], Some 2999);
+          Const (0, 2L);
+          Store (2999, 0);
+          Const (1, 4L);
+          Store (2998, 1);
+          Ret None;
+        |]
+  in
+  let g =
+    func "g"
+      Instr.
+        [|
+          Const (0, 3L);
+          Store (2500, 0);
+          Const (2500, 5L);
+          Const (2999, 7L);
+          Const (1, 1L);
+          Store (2999, 1);
+          Ret (Some 2999);
+        |]
+  in
+  {
+    Prog.funcs = [| main; g |];
+    entry = 0;
+    mem_size = 8;
+    init_mem = [];
+    region_table = [||];
+    mark_names = [||];
+    symbols = [];
+  }
+
+let test_grown_stack_is_pooled () =
+  let prog = deep_stack_program () in
+  Prog.validate prog;
+  let cfg = Machine.default_config in
+  run_both "deep stack, first run" prog cfg;
+  let after_first = Compiled.Private.pooled_arenas () in
+  Alcotest.(check bool) "a grown stack is in the pool" true
+    (List.exists (fun slots -> slots >= 6000) after_first);
+  run_both "deep stack, second run" prog cfg;
+  Alcotest.(check (list int)) "second run reused it: not regrown, not leaked"
+    after_first (Compiled.Private.pooled_arenas ())
+
 (* the plan cache: same program, physically or structurally, yields the
    same plan *)
 let test_plan_cache () =
@@ -157,4 +288,10 @@ let suite =
         test_campaign_counts_identical;
       Alcotest.test_case "unsupported configs fall back" `Quick test_fallback;
       Alcotest.test_case "plan cache" `Quick test_plan_cache;
+      Alcotest.test_case "runner results are owned" `Quick
+        test_runner_result_is_owned;
+      Alcotest.test_case "scope exceptions return the arena" `Quick
+        test_scope_exception_returns_arena;
+      Alcotest.test_case "grown register stack is pooled" `Quick
+        test_grown_stack_is_pooled;
     ] )

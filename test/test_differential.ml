@@ -222,7 +222,7 @@ let run_both (stmts : Ast.stmt list) : (string * Value.t * Value.t) list =
     (fun v ->
       let vm_value =
         match Prog.find_symbol prog v with
-        | Some s -> r.Machine.mem.(s.Prog.sym_addr)
+        | Some s -> r.Machine.mem.{s.Prog.sym_addr}
         | None -> 0L
       in
       let ref_value =
@@ -260,9 +260,64 @@ let test_fixed_program () =
       Alcotest.(check int64) name ref_value vm_value)
     (run_both stmts)
 
+(* --- initial-memory edge cases, interpreter vs compiled ------------------ *)
+
+(* copies word 3 to word 5; [init_mem] is the case under test *)
+let copy_program (init_mem : (int * int64) list) : Prog.t =
+  let code =
+    Instr.[| Const (0, 3L); Load (1, 0); Const (2, 5L); Store (1, 2); Ret None |]
+  in
+  {
+    Prog.funcs =
+      [|
+        {
+          Prog.fname = "main";
+          nregs = 3;
+          code;
+          lines = Array.map (fun _ -> 0) code;
+          regions = Array.map (fun _ -> -1) code;
+        };
+      |];
+    entry = 0;
+    mem_size = 8;
+    init_mem;
+    region_table = [||];
+    mark_names = [||];
+    symbols = [];
+  }
+
+(* the compiled backend initializes its reused trial arena in place; a
+   duplicated address must keep its last write, as the interpreter's
+   in-order replay does *)
+let test_init_mem_last_write_wins () =
+  let prog = copy_program [ (3, 10L); (6, 1L); (3, 20L) ] in
+  let ri = Machine.run_plain prog in
+  let rc = Backend.run Backend.Compiled prog Machine.default_config in
+  Alcotest.(check int64) "interpreter: last write wins" 20L ri.Machine.mem.{5};
+  Alcotest.(check int64) "compiled: last write wins" 20L rc.Machine.mem.{5};
+  Alcotest.(check bool) "identical final memory" true
+    (ri.Machine.mem = rc.Machine.mem)
+
+(* an out-of-range [init_mem] address fails the run, not the plan, with
+   the same exception on both backends *)
+let test_init_mem_out_of_range () =
+  let prog = copy_program [ (3, 10L); (8, 1L) ] in
+  let compiled = Backend.runner Backend.Compiled prog in
+  let expected = Invalid_argument "index out of bounds" in
+  Alcotest.check_raises "interpreter run" expected (fun () ->
+      ignore (Machine.run_plain prog));
+  Alcotest.check_raises "compiled run" expected (fun () ->
+      ignore (compiled Machine.default_config));
+  Alcotest.check_raises "compiled run, again" expected (fun () ->
+      ignore (compiled Machine.default_config))
+
 let suite =
   ( "differential",
     [
       Alcotest.test_case "fixed program" `Quick test_fixed_program;
+      Alcotest.test_case "init_mem: last write wins" `Quick
+        test_init_mem_last_write_wins;
+      Alcotest.test_case "init_mem: out of range fails at run time" `Quick
+        test_init_mem_out_of_range;
       QCheck_alcotest.to_alcotest prop_differential;
     ] )

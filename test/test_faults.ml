@@ -477,6 +477,77 @@ let test_campaign_early_stop_reports_honestly () =
   Alcotest.(check bool) "not before the minimum trials" true
     (report.Campaign.counts.Campaign.trials >= 50)
 
+(* where early stopping stops, and the counts it reports, must not
+   depend on the worker count or on a kill-then-resume *)
+let test_campaign_early_stop_index_invariant () =
+  let app = Registry.find "IS" in
+  let clean, trace = App.trace app in
+  let prog = App.program app in
+  let target = Campaign.whole_program_target prog trace in
+  (* a mixed success rate, so the stop boundary depends on the counts
+     and not on the minimum-trials floor *)
+  let cfg = { Campaign.default_config with seed = 5; margin = 0.08 } in
+  let run exec =
+    Campaign.run_report prog ~verify:(App.verify app)
+      ~clean_instructions:clean.Machine.instructions ~cfg
+      ~exec:{ exec with Campaign.early_stop = true; batch = 16 }
+      target
+  in
+  let stop_index (r : Campaign.run_report) =
+    r.Campaign.counts.Campaign.trials + r.Campaign.counts.Campaign.infra
+  in
+  let bytes (r : Campaign.run_report) =
+    Csexp.to_string (Campaign.counts_to_csexp r.Campaign.counts)
+  in
+  let j1 = run Campaign.default_exec in
+  Alcotest.(check bool) "stopped early" true j1.Campaign.stopped_early;
+  Alcotest.(check bool) "past the minimum trials" true (stop_index j1 > 64);
+  Alcotest.(check bool) "before the planned size" true
+    (stop_index j1 < j1.Campaign.planned);
+  let same label (r : Campaign.run_report) =
+    Alcotest.(check bool) (label ^ ": stopped early") true
+      r.Campaign.stopped_early;
+    Alcotest.(check int) (label ^ ": same stop index") (stop_index j1)
+      (stop_index r);
+    Alcotest.(check string) (label ^ ": counts byte-identical") (bytes j1)
+      (bytes r)
+  in
+  same "jobs 2" (run { Campaign.default_exec with jobs = 2 });
+  (* the executor stops at the first boundary whose prefix satisfies
+     the predicate *)
+  let ex =
+    Executor.run
+      ~cfg:{ Executor.default_config with batch = 16 }
+      {
+        Executor.tag = "early-stop-oracle";
+        total = j1.Campaign.planned;
+        run_trial =
+          Campaign.trial_fun prog ~verify:(App.verify app)
+            ~clean_instructions:clean.Machine.instructions ~cfg target;
+        encode = Campaign.encode_outcome;
+        decode = Campaign.decode_outcome;
+        should_stop = Some (Campaign.early_stop cfg);
+      }
+  in
+  Alcotest.(check int) "executor: same stop index" (stop_index j1)
+    ex.Executor.completed;
+  for k = 1 to ex.Executor.completed / 16 do
+    let n = 16 * k in
+    Alcotest.(check bool)
+      (Printf.sprintf "predicate at boundary %d" n)
+      (n = ex.Executor.completed)
+      (Campaign.early_stop cfg (Array.sub ex.Executor.outcomes 0 n) n)
+  done;
+  with_temp_journal (fun path ->
+      let exec = { Campaign.default_exec with journal = Some path } in
+      same "journaled" (run exec);
+      let len = (Unix.stat path).Unix.st_size in
+      truncate_file path (len / 2);
+      let resumed = run { exec with Campaign.resume = true; jobs = 2 } in
+      Alcotest.(check bool) "resume skipped journaled trials" true
+        (resumed.Campaign.resumed > 0);
+      same "resumed" resumed)
+
 let test_unknown_symbol_is_structured () =
   let prog = compile (dead_store_program ()) in
   let _, t = run_traced prog in
@@ -557,6 +628,8 @@ let suite =
         test_campaign_jobs_and_resume_invariance;
       Alcotest.test_case "early stop honest report" `Quick
         test_campaign_early_stop_reports_honestly;
+      Alcotest.test_case "early stop index invariant" `Quick
+        test_campaign_early_stop_index_invariant;
       Alcotest.test_case "unknown symbol structured" `Quick
         test_unknown_symbol_is_structured;
     ] )

@@ -782,6 +782,60 @@ let test_chaos_campaign_counts_byte_identical () =
         (Csexp.to_string (Campaign.counts_to_csexp ref_counts))
         (Csexp.to_string (Campaign.counts_to_csexp counts))
 
+(* early stopping through the server: the same predicate, asked at the
+   same boundaries, stops at the same index as the --jobs 1
+   executor — under a worker SIGKILL and again after a resume *)
+let test_server_early_stop_matches_executor () =
+  match Server.plan_of_app "IS" with
+  | Error e -> Alcotest.fail e
+  | Ok plan ->
+      with_temp_dir (fun dir ->
+          let ccfg =
+            { Campaign.default_config with Campaign.seed = 5; margin = 0.08 }
+          in
+          let s =
+            {
+              (Server.campaign_spec plan ccfg) with
+              Executor.should_stop = Some (Campaign.early_stop ccfg);
+            }
+          in
+          let reference =
+            Executor.run
+              ~cfg:{ Executor.default_config with jobs = 1; batch = 16 }
+              s
+          in
+          let bytes (r : Campaign.outcome_class Executor.report) =
+            Csexp.to_string
+              (Campaign.counts_to_csexp
+                 (Campaign.counts_of_outcomes r.Executor.outcomes))
+          in
+          Alcotest.(check bool) "reference stopped early" true
+            reference.Executor.stopped_early;
+          let cfg kills resume =
+            {
+              Server.default_config with
+              Server.workers = 2;
+              batch = 16;
+              journal_dir = Some (Filename.concat dir "journal");
+              resume;
+              chaos_kills = kills;
+              heartbeat_s = 10.0;
+            }
+          in
+          let check label (r : Campaign.outcome_class Executor.report) =
+            Alcotest.(check bool) (label ^ ": stopped early") true
+              r.Executor.stopped_early;
+            Alcotest.(check int) (label ^ ": same stop index")
+              reference.Executor.completed r.Executor.completed;
+            Alcotest.(check string) (label ^ ": counts byte-identical")
+              (bytes reference) (bytes r)
+          in
+          check "server" (Server.run ~cfg:(cfg [ 40 ] false) s);
+          let resumed = Server.run ~cfg:(cfg [] true) s in
+          Alcotest.(check bool) "resume skipped journaled trials" true
+            (resumed.Executor.resumed > 0);
+          check "resumed" resumed)
+
 (* --- the socket service end to end --------------------------------------- *)
 
 let test_serve_two_tenants_fetch_by_id () =
@@ -974,6 +1028,8 @@ let suite =
         test_sched_remote_worker_vanishes;
       Alcotest.test_case "chaos campaign counts byte-identical" `Slow
         test_chaos_campaign_counts_byte_identical;
+      Alcotest.test_case "early stop matches the executor" `Quick
+        test_server_early_stop_matches_executor;
       Alcotest.test_case "serve: two tenants, fetch by id" `Slow
         test_serve_two_tenants_fetch_by_id;
       Alcotest.test_case "client retry is bounded and structured" `Quick
