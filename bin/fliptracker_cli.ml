@@ -1196,9 +1196,9 @@ let worker_cmd =
        ~doc:
          "Attach to a campaign server over TCP as a remote worker and \
           serve leases for any campaign it hosts; trial records stream \
-          back under the same checksummed, resend-capable framing forked \
-          workers use, so a vanished remote costs at most one in-flight \
-          trial.")
+          back under the same checksummed, fail-stop framing forked \
+          workers use, so a vanished or corrupting remote costs at most \
+          one in-flight trial.")
     Term.(const run $ connect $ cache_dir $ idle_timeout)
 
 let submit_cmd =

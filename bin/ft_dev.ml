@@ -220,7 +220,7 @@ let profile name =
       end)
     l
 
-(* --- journal inspect / verify / compact ---------------------------------- *)
+(* --- journal inspect / verify ------------------------------------------- *)
 
 let journal_files (path : string) : string list =
   if Sys.is_directory path then
@@ -230,59 +230,79 @@ let journal_files (path : string) : string list =
     |> List.map (Filename.concat path)
   else [ path ]
 
-let trial_key (r : Csexp.t) : string option =
-  match r with
-  | Csexp.List (Csexp.Atom "t" :: Csexp.Atom idx :: _) -> Some idx
-  | _ -> None
-
-(* one journal file's shape: header, record tallies, torn tail *)
-let inspect_one (path : string) : bool =
+(* one journal file's shape: header, record tallies, torn tail.  [seen]
+   holds the trial indices of the journal's files inspected so far, so
+   a sharded journal is checked as one log.  Healthy = a header, no
+   torn tail, and no trial index recorded twice: every writer keeps
+   the first record per index and journals only fresh ones, so a
+   duplicate is a contract violation. *)
+let inspect_one (seen : (string, unit) Hashtbl.t) (path : string) : bool =
   let records, valid_end = Journal.load path in
   let size = (Unix.stat path).Unix.st_size in
   let torn = size - valid_end in
   Printf.printf "%s\n" path;
-  (match records with
-  | Csexp.List
-      [ Csexp.Atom magic; Csexp.Atom version; Csexp.Atom tag; Csexp.Atom total ]
-    :: rest
-    when magic = "fliptracker-journal" ->
-      Printf.printf "  header: v%s tag %s, %s trials planned\n" version tag
-        total;
-      let ok = ref 0 and infra = Hashtbl.create 4 and other = ref 0 in
-      let seen = Hashtbl.create 256 and dups = ref 0 in
-      List.iter
-        (fun r ->
-          match r with
-          | Csexp.List
-              (Csexp.Atom "t" :: Csexp.Atom idx :: Csexp.Atom verdict :: _) ->
-              if Hashtbl.mem seen idx then incr dups
-              else Hashtbl.add seen idx ();
-              if verdict = "ok" then incr ok
-              else (
-                let k =
-                  match r with
-                  | Csexp.List [ _; _; _; Csexp.Atom m ] ->
-                      Infra.kind_of_message m
-                  | _ -> "unknown"
-                in
-                Hashtbl.replace infra k
-                  (1 + Option.value ~default:0 (Hashtbl.find_opt infra k)))
-          | _ -> incr other)
-        rest;
-      Printf.printf "  records: %d trials (%d ok" (Hashtbl.length seen) !ok;
-      Hashtbl.iter (fun k v -> Printf.printf ", %d infra/%s" v k) infra;
-      Printf.printf ")%s%s\n"
-        (if !dups > 0 then Printf.sprintf ", %d superseded duplicates" !dups
-         else "")
-        (if !other > 0 then Printf.sprintf ", %d foreign records" !other
-         else "")
-  | [] -> Printf.printf "  empty journal\n"
-  | _ -> Printf.printf "  NO VALID HEADER (not a campaign journal?)\n");
+  let dups =
+    match records with
+    | Csexp.List
+        [
+          Csexp.Atom magic; Csexp.Atom version; Csexp.Atom tag; Csexp.Atom total;
+        ]
+      :: rest
+      when magic = "fliptracker-journal" ->
+        Printf.printf "  header: v%s tag %s, %s trials planned\n" version tag
+          total;
+        let ok = ref 0 and infra = Hashtbl.create 4 and other = ref 0 in
+        let trials = ref 0 and dups = ref 0 in
+        List.iter
+          (fun r ->
+            match r with
+            | Csexp.List
+                (Csexp.Atom "t" :: Csexp.Atom idx :: Csexp.Atom verdict :: _) ->
+                if Hashtbl.mem seen idx then incr dups
+                else begin
+                  Hashtbl.add seen idx ();
+                  incr trials;
+                  if verdict = "ok" then incr ok
+                  else
+                    let k =
+                      match r with
+                      | Csexp.List [ _; _; _; Csexp.Atom m ] ->
+                          Infra.kind_of_message m
+                      | _ -> "unknown"
+                    in
+                    Hashtbl.replace infra k
+                      (1 + Option.value ~default:0 (Hashtbl.find_opt infra k))
+                end
+            | _ -> incr other)
+          rest;
+        Printf.printf "  records: %d trials (%d ok" !trials !ok;
+        Hashtbl.iter (fun k v -> Printf.printf ", %d infra/%s" v k) infra;
+        Printf.printf ")%s%s\n"
+          (if !dups > 0 then
+             Printf.sprintf ", %d DUPLICATE trial records (contract violation)"
+               !dups
+           else "")
+          (if !other > 0 then Printf.sprintf ", %d foreign records" !other
+           else "");
+        !dups
+    | [] ->
+        Printf.printf "  empty journal\n";
+        0
+    | _ ->
+        Printf.printf "  NO VALID HEADER (not a campaign journal?)\n";
+        0
+  in
   Printf.printf "  valid prefix: %d of %d bytes%s\n" valid_end size
     (if torn > 0 then
        Printf.sprintf " — TORN TAIL (%d bytes would be healed)" torn
      else "");
-  torn = 0 && records <> []
+  torn = 0 && records <> [] && dups = 0
+
+(* [ft_dev journal verify]'s check: every file of a single-file or
+   sharded journal is healthy *)
+let journal_healthy (path : string) : bool =
+  let seen = Hashtbl.create 256 in
+  List.for_all (inspect_one seen) (journal_files path)
 
 let journal_cmd (action : string) (path : string) =
   let files = journal_files path in
@@ -291,24 +311,19 @@ let journal_cmd (action : string) (path : string) =
     exit 2
   end;
   match action with
-  | "inspect" -> ignore (List.map inspect_one files)
+  | "inspect" ->
+      let seen = Hashtbl.create 256 in
+      List.iter (fun f -> ignore (inspect_one seen f)) files
   | "verify" ->
-      let healthy = List.for_all inspect_one files in
-      if healthy then print_endline "journal: OK"
+      if journal_healthy path then print_endline "journal: OK"
       else begin
-        print_endline "journal: UNHEALTHY (torn tail or missing header)";
+        print_endline
+          "journal: UNHEALTHY (torn tail, missing header or duplicate trial)";
         exit 1
       end
-  | "compact" ->
-      List.iter
-        (fun f ->
-          let before, after = Journal.compact ~key:trial_key f in
-          Printf.printf "%s: %d -> %d bytes (%.0f%%)\n" f before after
-            (100.0 *. float_of_int after /. float_of_int (max 1 before)))
-        files
   | other ->
-      Printf.eprintf
-        "journal: unknown action %s (expected inspect|verify|compact)\n" other;
+      Printf.eprintf "journal: unknown action %s (expected inspect|verify)\n"
+        other;
       exit 2
 
 (* --- chaos-campaign: the worker-failure determinism gate ------------------ *)
@@ -402,7 +417,8 @@ let chaos_multi (name : string) ~(workers : int) ~(tcp : int)
       sp_trials = Some t;
     }
   in
-  (* one tenant record: typed outcome array + the erased accept hook *)
+  (* one tenant: its typed ledger (the scheduler gets the erased view)
+     and its in-process --jobs 1 reference *)
   let tenant i =
     let spec = spec_of i in
     match Plan.spec_of_submission ~cache_dir spec with
@@ -414,15 +430,14 @@ let chaos_multi (name : string) ~(workers : int) ~(tcp : int)
           Printf.sprintf "c%04d-%s" i
             (String.sub (Cache.key ex_spec.Executor.tag) 0 10)
         in
-        let outcomes = Array.make ex_spec.Executor.total None in
-        let accept j r =
-          match Executor.parse_trial ex_spec.Executor.decode r with
-          | Some (k, o) when k = j ->
-              outcomes.(j) <- Some o;
-              true
-          | Some _ | None -> false
+        let ledger =
+          Ledger.create ~batch:Server.default_config.Server.batch
+            ~journal:
+              (Shard.shard_paths
+                 ~dir:(Filename.concat journal_root id)
+                 ~shards:Server.default_config.Server.shards)
+            ex_spec
         in
-        let should_stop = Executor.boundary_stop ex_spec outcomes in
         let reference =
           Executor.run
             ~cfg:{ Executor.default_config with Executor.jobs = 1 }
@@ -432,20 +447,15 @@ let chaos_multi (name : string) ~(workers : int) ~(tcp : int)
           {
             Sched.jb_id = id;
             jb_app = name;
-            jb_total = ex_spec.Executor.total;
-            jb_header = Executor.header_record ex_spec;
-            jb_journal = Some (Filename.concat journal_root id);
-            jb_resume = false;
             jb_spec = Some spec;
-            jb_accept = accept;
-            jb_should_stop = should_stop;
+            jb_ledger = Ledger.erase ledger;
           }
         in
-        (id, job, outcomes, reference)
+        (id, job, ledger, reference)
   in
   let rows = List.init tenants tenant in
   let total_trials =
-    List.fold_left (fun a (_, j, _, _) -> a + j.Sched.jb_total) 0 rows
+    List.fold_left (fun a (_, _, _, r) -> a + r.Executor.planned) 0 rows
   in
   let kills =
     if kills <> [] then kills else [ total_trials / 4; total_trials / 2 ]
@@ -544,18 +554,15 @@ let chaos_multi (name : string) ~(workers : int) ~(tcp : int)
   if killed = 0 then fail "chaos-multi: FAILED (no worker was killed)";
   let enc c = Csexp.to_string (Campaign.counts_to_csexp c) in
   List.iter
-    (fun (id, _, outcomes, (reference : _ Executor.report)) ->
+    (fun (id, _, ledger, (reference : _ Executor.report)) ->
       match Hashtbl.find_opt finished id with
-      | Some (Sched.Finished { completed; _ }) ->
-          if completed <> reference.Executor.completed then
-            fail "chaos-multi: %s FAILED (completed %d vs %d)" id completed
-              reference.Executor.completed
+      | Some Sched.Finished ->
+          let report = Ledger.report ledger in
+          if report.Executor.completed <> reference.Executor.completed then
+            fail "chaos-multi: %s FAILED (completed %d vs %d)" id
+              report.Executor.completed reference.Executor.completed
           else begin
-            let final =
-              Array.init completed (fun j ->
-                  match outcomes.(j) with Some o -> o | None -> assert false)
-            in
-            let counts = Campaign.counts_of_outcomes final in
+            let counts = Campaign.counts_of_outcomes report.Executor.outcomes in
             let ref_counts =
               Campaign.counts_of_outcomes reference.Executor.outcomes
             in
@@ -563,8 +570,11 @@ let chaos_multi (name : string) ~(workers : int) ~(tcp : int)
               fail "chaos-multi: %s FAILED (counts diverge)\n  server    %s\n  reference %s"
                 id (enc counts) (enc ref_counts)
           end;
-          if not (Sys.file_exists (Filename.concat journal_root id)) then
+          let dir = Filename.concat journal_root id in
+          if not (Sys.file_exists dir) then
             fail "chaos-multi: %s FAILED (journal directory missing)" id
+          else if not (journal_healthy dir) then
+            fail "chaos-multi: %s FAILED (journal does not verify)" id
       | Some (Sched.Poisoned { batch; attempts; cause }) ->
           fail "chaos-multi: %s FAILED (%s)" id
             (Infra.poison_message ~batch ~attempts cause)
@@ -708,7 +718,7 @@ let () =
       trace_roundtrip (match rest with name :: _ -> name | [] -> "IS")
   | _ :: "journal" :: action :: path :: _ -> journal_cmd action path
   | _ :: "journal" :: _ ->
-      Printf.eprintf "usage: ft_dev journal inspect|verify|compact PATH\n";
+      Printf.eprintf "usage: ft_dev journal inspect|verify PATH\n";
       exit 2
   | _ :: "chaos-campaign" :: rest ->
       let name = ref "IS" and workers = ref 2 and trials = ref 96 in

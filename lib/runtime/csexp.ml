@@ -23,11 +23,12 @@ let to_string (x : t) : string =
   to_buffer buf x;
   Buffer.contents buf
 
-(** Decode one value of [s] starting at [pos].  Returns the value and
-    the position just past it, or [None] when the input is malformed or
+(** Decode one value of [s] starting at [pos], reading no byte at or
+    past [stop] (default: the end of [s]).  Returns the value and the
+    position just past it, or [None] when the input is malformed or
     truncated at or after [pos]. *)
-let decode_one (s : string) ~(pos : int) : (t * int) option =
-  let n = String.length s in
+let decode_one ?stop (s : string) ~(pos : int) : (t * int) option =
+  let n = Option.value stop ~default:(String.length s) in
   let rec value pos =
     if pos >= n then None
     else

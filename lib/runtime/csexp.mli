@@ -7,9 +7,10 @@ type t = Atom of string | List of t list
 val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
 
-val decode_one : string -> pos:int -> (t * int) option
+val decode_one : ?stop:int -> string -> pos:int -> (t * int) option
 (** One value starting at [pos] and the position just past it; [None]
-    on malformed or truncated input. *)
+    on malformed or truncated input.  [stop] bounds the bytes read
+    (default: the whole string). *)
 
 val decode_prefix : string -> t list * int
 (** The longest valid prefix: records plus the byte offset where

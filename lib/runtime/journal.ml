@@ -70,60 +70,3 @@ let close (w : writer) : unit =
     w.closed <- true;
     Unix.close w.fd
   end
-
-(** Compact a journal in place: decode the valid prefix (dropping any
-    torn tail), deduplicate the records [key] identifies — the
-    {e last} value written for a key survives, matching what a reader
-    folding the log with replace semantics would see, but it is emitted
-    at the key's {e first} position so record order stays stable —
-    and atomically replace the file (write temp, fsync, rename).
-    Records with no key ([None], e.g. headers) are always kept.
-    Returns [(bytes_before, bytes_after)]. *)
-let compact ?(key : (Csexp.t -> string option) = fun _ -> None)
-    (path : string) : int * int =
-  let records, _valid_end = load path in
-  let before =
-    if Sys.file_exists path then (Unix.stat path).Unix.st_size else 0
-  in
-  (* last value per key, first position per key *)
-  let latest : (string, Csexp.t) Hashtbl.t = Hashtbl.create 256 in
-  List.iter
-    (fun r ->
-      match key r with
-      | Some k -> Hashtbl.replace latest k r
-      | None -> ())
-    records;
-  let emitted : (string, unit) Hashtbl.t = Hashtbl.create 256 in
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun r ->
-      let keep =
-        match key r with
-        | None -> Some r
-        | Some k ->
-            if Hashtbl.mem emitted k then None
-            else begin
-              Hashtbl.add emitted k ();
-              Some (Hashtbl.find latest k)
-            end
-      in
-      match keep with
-      | Some r ->
-          Csexp.to_buffer buf r;
-          Buffer.add_char buf '\n'
-      | None -> ())
-    records;
-  let tmp = path ^ ".compact.tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  let s = Buffer.contents buf in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let n = String.length s in
-      let written = ref 0 in
-      while !written < n do
-        written := !written + Unix.write_substring fd s !written (n - !written)
-      done;
-      Unix.fsync fd);
-  Sys.rename tmp path;
-  (before, String.length s)

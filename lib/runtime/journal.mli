@@ -24,10 +24,3 @@ val sync : writer -> unit
 
 val close : writer -> unit
 (** [sync] then close the descriptor.  Idempotent. *)
-
-val compact : ?key:(Csexp.t -> string option) -> string -> int * int
-(** Compact a journal in place: heal the torn tail and deduplicate the
-    records [key] identifies (the last value written for a key
-    survives, at the key's first position; [None] records — headers —
-    are always kept).  Atomic: temp file + fsync + rename.  Returns
-    [(bytes_before, bytes_after)]. *)

@@ -1,29 +1,23 @@
 (** Sharded append-only journals.
 
-    One campaign journal becomes [shards] independent append-only files
-    under a directory, each carrying the same campaign header and each
-    healing its own torn tail — so a crash mid-append loses at most the
-    unsynced tail of the shard being written, never the whole log, and
-    shards can be written and compacted independently.
+    One campaign journal becomes a list of independent append-only
+    files, each carrying the same campaign header and each healing its
+    own torn tail — so a crash mid-append loses at most the unsynced
+    tail of the file being written, never the whole log.  The in-process
+    executor uses one file; the campaign server uses [shards] files
+    under the campaign's directory ({!shard_paths}).
 
-    The shard of a record is chosen by the caller (the campaign server
-    routes a trial batch to [batch_index mod shards]), which keeps each
-    batch's records contiguous in one file and lets a recovering server
-    replay shards in any order: the merged view is order-insensitive
-    because records are keyed (trial index) and deduplicated on load. *)
+    The shard of a record is chosen by the caller (the trial's batch
+    index modulo the shard count), which keeps each batch's records
+    contiguous in one file and lets a recovering reader replay shards
+    in any order: the merged view is order-insensitive because records
+    are keyed by trial index and {!Ledger} keeps the first per index. *)
 
-type t = {
-  dir : string;
-  shards : int;
-  writers : Journal.writer option array;
-  appended : int array;  (** records appended per shard since open/compact *)
-}
-
-let shard_file (dir : string) (i : int) : string =
-  Filename.concat dir (Printf.sprintf "shard-%03d.journal" i)
+type t = Journal.writer array
 
 let shard_paths ~(dir : string) ~(shards : int) : string list =
-  List.init shards (shard_file dir)
+  List.init shards (fun i ->
+      Filename.concat dir (Printf.sprintf "shard-%03d.journal" i))
 
 let rec ensure_dir (dir : string) =
   if not (Sys.file_exists dir) then begin
@@ -33,24 +27,18 @@ let rec ensure_dir (dir : string) =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(** Open a sharded journal for writing, creating the directory and
-    truncating any previous shard files. *)
-let create ~(dir : string) ~(shards : int) ~(header : Csexp.t) : t =
-  if shards <= 0 then invalid_arg "Shard.create: shards must be positive";
-  ensure_dir dir;
-  let writers =
-    Array.init shards (fun i ->
-        let w = Journal.create (shard_file dir i) in
-        Journal.write w header;
-        Journal.sync w;
-        Some w)
-  in
-  { dir; shards; writers; appended = Array.make shards 0 }
+let fresh (header : Csexp.t) (path : string) : Journal.writer =
+  ensure_dir (Filename.dirname path);
+  let w = Journal.create path in
+  Journal.write w header;
+  Journal.sync w;
+  w
 
-exception
-  Header_mismatch of { shard : string; found : Csexp.t option }
-(** A shard's first record is not the expected campaign header: the
-    directory belongs to a different campaign; refuse to resume. *)
+let create (paths : string list) ~(header : Csexp.t) : t =
+  if paths = [] then invalid_arg "Shard.create: no shard paths";
+  Array.of_list (List.map (fresh header) paths)
+
+exception Header_mismatch of { shard : string; found : Csexp.t }
 
 let () =
   Printexc.register_printer (function
@@ -59,85 +47,41 @@ let () =
           (Printf.sprintf
              "Shard.Header_mismatch: %s does not open with the expected \
               campaign header (found %s); refusing to resume"
-             shard
-             (match found with
-             | Some c -> Csexp.to_string c
-             | None -> "an empty shard"))
+             shard (Csexp.to_string found))
     | _ -> None)
 
-(** Reopen an existing sharded journal for appending: each shard's torn
-    tail is dropped at the offset [Journal.load] validated, headers are
-    checked against [header], and the surviving non-header records of
-    all shards are returned (shard 0 first; within a shard, log order).
-    Missing shard files are created fresh.
-    @raise Header_mismatch when a non-empty shard belongs to a
-    different campaign. *)
-let open_resume ~(dir : string) ~(shards : int) ~(header : Csexp.t) :
+(** Reopen a journal for appending.  Every file is loaded and its
+    header checked before any is opened, so a foreign journal is
+    refused without a descriptor leaked or a byte truncated; then each
+    torn tail is dropped at the offset [Journal.load] validated. *)
+let open_resume (paths : string list) ~(header : Csexp.t) :
     t * Csexp.t list =
-  if shards <= 0 then invalid_arg "Shard.open_resume: shards must be positive";
-  ensure_dir dir;
-  (* per-shard record lists, shard order reversed; concatenated once at
-     the end — appending each shard's tail to a growing list would be
-     quadratic in the total record count *)
-  let record_lists = ref [] in
-  let writers =
-    Array.init shards (fun i ->
-        let path = shard_file dir i in
-        let recs, valid_end = Journal.load path in
-        match recs with
-        | [] ->
-            let w = Journal.create path in
-            Journal.write w header;
-            Journal.sync w;
-            Some w
-        | h :: rest when h = header ->
-            record_lists := rest :: !record_lists;
-            Some (Journal.open_append ~truncate_at:valid_end path)
-        | h :: _ -> raise (Header_mismatch { shard = path; found = Some h }))
+  if paths = [] then invalid_arg "Shard.open_resume: no shard paths";
+  let loaded =
+    List.map
+      (fun path ->
+        match Journal.load path with
+        | h :: _, _ when h <> header ->
+            raise (Header_mismatch { shard = path; found = h })
+        | loaded -> (path, loaded))
+      paths
   in
-  ( { dir; shards; writers; appended = Array.make shards 0 },
-    List.concat (List.rev !record_lists) )
+  let writers =
+    List.map
+      (fun (path, (recs, valid_end)) ->
+        if recs = [] then fresh header path
+        else Journal.open_append ~truncate_at:valid_end path)
+      loaded
+  in
+  ( Array.of_list writers,
+    List.concat_map
+      (fun (_, (recs, _)) -> match recs with [] -> [] | _ :: rest -> rest)
+      loaded )
 
-let writer (t : t) (shard : int) : Journal.writer =
-  match t.writers.(shard mod t.shards) with
-  | Some w -> w
-  | None -> invalid_arg "Shard.writer: shard closed"
-
-(** Append one record to shard [shard mod shards] (buffered; durable
-    after [sync]). *)
 let append (t : t) ~(shard : int) (r : Csexp.t) : unit =
-  let i = shard mod t.shards in
-  Journal.write (writer t i) r;
-  t.appended.(i) <- t.appended.(i) + 1
+  Journal.write t.(shard mod Array.length t) r
 
-let sync (t : t) ~(shard : int) : unit = Journal.sync (writer t shard)
+let sync (t : t) ~(shard : int) : unit =
+  Journal.sync t.(shard mod Array.length t)
 
-let sync_all (t : t) : unit =
-  Array.iter (function Some w -> Journal.sync w | None -> ()) t.writers
-
-(** Compact one shard in place (see {!Journal.compact}): the shard's
-    writer is closed around the rewrite and reopened for appending.
-    Returns [(bytes_before, bytes_after)]. *)
-let compact (t : t) ~(key : Csexp.t -> string option) ~(shard : int) :
-    int * int =
-  let i = shard mod t.shards in
-  (match t.writers.(i) with
-  | Some w -> Journal.close w
-  | None -> ());
-  t.writers.(i) <- None;
-  let sizes = Journal.compact ~key (shard_file t.dir i) in
-  t.writers.(i) <- Some (Journal.open_append (shard_file t.dir i));
-  t.appended.(i) <- 0;
-  sizes
-
-let appended (t : t) ~(shard : int) : int = t.appended.(shard mod t.shards)
-
-let close (t : t) : unit =
-  Array.iteri
-    (fun i w ->
-      match w with
-      | Some w ->
-          Journal.close w;
-          t.writers.(i) <- None
-      | None -> ())
-    t.writers
+let close (t : t) : unit = Array.iter Journal.close t

@@ -1,27 +1,31 @@
-(** Sharded append-only journals: one campaign log split over
-    [shards] independent files, each with the campaign header and its
-    own torn-tail healing, written and compacted independently.  The
-    caller routes records to shards (e.g. [batch_index mod shards]);
-    the merged view on resume is order-insensitive because records are
-    keyed and deduplicated by the reader. *)
+(** Sharded append-only journals: one campaign log split over a list
+    of independent files, each with the campaign header and its own
+    torn-tail healing.  The caller routes records to shards (e.g.
+    [batch_index mod shards]); the merged view on resume is
+    order-insensitive because records are keyed by trial index and the
+    reader ({!Ledger}) keeps the first record per index.  A one-element
+    path list is the in-process executor's single-file journal. *)
 
 type t
 
-exception Header_mismatch of { shard : string; found : Csexp.t option }
+exception Header_mismatch of { shard : string; found : Csexp.t }
 (** A non-empty shard does not open with the expected campaign header:
-    the directory belongs to a different campaign. *)
+    the journal belongs to a different campaign. *)
 
 val shard_paths : dir:string -> shards:int -> string list
 (** The shard file paths a [(dir, shards)] layout uses. *)
 
-val create : dir:string -> shards:int -> header:Csexp.t -> t
-(** Create/truncate every shard, writing [header] to each. *)
+val create : string list -> header:Csexp.t -> t
+(** Create/truncate every file (and missing parent directories),
+    writing [header] to each. *)
 
-val open_resume : dir:string -> shards:int -> header:Csexp.t -> t * Csexp.t list
-(** Reopen for appending: heal each shard's torn tail, validate each
-    header, and return the surviving non-header records of all shards
-    (shard order, then log order).  Missing shards are created.
-    @raise Header_mismatch on a foreign shard. *)
+val open_resume : string list -> header:Csexp.t -> t * Csexp.t list
+(** Reopen for appending: heal each file's torn tail, validate each
+    header, and return the surviving non-header records of all files
+    (path order, then log order).  Missing or empty files are created
+    with the header.  Nothing is opened or truncated unless every
+    header validates.
+    @raise Header_mismatch on a foreign file. *)
 
 val append : t -> shard:int -> Csexp.t -> unit
 (** Buffer one record on shard [shard mod shards]. *)
@@ -29,13 +33,5 @@ val append : t -> shard:int -> Csexp.t -> unit
 val sync : t -> shard:int -> unit
 (** Flush + fsync one shard. *)
 
-val sync_all : t -> unit
-
-val compact : t -> key:(Csexp.t -> string option) -> shard:int -> int * int
-(** Compact one shard in place ({!Journal.compact} semantics); its
-    writer is transparently reopened.  Returns (bytes before, after). *)
-
-val appended : t -> shard:int -> int
-(** Records appended to the shard since open/last compaction. *)
-
 val close : t -> unit
+(** Flush, fsync and close every shard.  Idempotent. *)

@@ -19,7 +19,8 @@ type cause =
   | Lease_expired of { batch : int; pid : int; heartbeat_s : float }
       (** a worker stopped heartbeating before its wall-clock deadline *)
   | Wire_fault of { message : string }
-      (** the transport gave up: corruption past the resend window *)
+      (** a corrupt or unparseable frame: the worker is broken, so it
+          is killed and its lease stolen (fail-stop) *)
   | Load_failed of { cid : string; reason : string }
       (** no worker can rebuild this campaign from its wire spec *)
 

@@ -211,7 +211,7 @@ type from_worker =
           serve — the scheduler steals the batch back *)
   | Heartbeat of { idx : int }  (** about to run trial [idx] *)
   | Trial of { cid : string; record : Csexp.t }
-      (** one {!Executor.trial_record} — appended to [cid]'s shard
+      (** one {!Ledger.trial_record} — appended to [cid]'s shard
           journal verbatim, which is what keeps server-mode journals
           interchangeable with [--jobs 1] journals *)
   | Batch_done of { cid : string; batch : int; retries : int }

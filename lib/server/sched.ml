@@ -11,15 +11,17 @@
     whose lease keeps failing poisons {e its own campaign only} — the
     other tenants keep running on the same pool.
 
-    The engine is type-erased: a job delivers trial records to its
-    owner through an [jb_accept] callback (the owner keeps the typed
-    outcome array), so the same scheduler serves {!Server.run}'s
+    The engine is type-erased: each job carries a {!Ledger.erased}
+    view of its owner's typed ledger, which decodes, keeps and journals
+    delivered records, so the same scheduler serves {!Server.run}'s
     generic closure specs and the socket front-end's wire-submitted
-    campaigns.  Determinism is per-tenant and unchanged: trials depend
-    only on their index, each tenant's records are accumulated
-    first-write-wins into its own sharded journal, so every tenant's
-    outcome sequence is byte-identical to its own [--jobs 1] run no
-    matter how the pool interleaves or dies.
+    campaigns.  Determinism is per-tenant and is the ledger's: trials
+    depend only on their index and each tenant's records are kept
+    first-write-wins, so every tenant's outcome sequence is
+    byte-identical to its own [--jobs 1] run no matter how the pool
+    interleaves or dies.  This module only schedules: the batch
+    geometry, the journal and the early-stop check all belong to the
+    ledger.
 
     Fair share: a free worker goes to the admitted tenant holding the
     fewest leases (ties broken least-recently-served), so a wide
@@ -27,13 +29,10 @@
 
 type config = {
   workers : int;  (** forked worker processes to keep at strength *)
-  batch : int;  (** trials per lease; fixed boundaries like the executor *)
-  shards : int;  (** journal shards (batch [b] logs to [b mod shards]) *)
   heartbeat_s : float;  (** per-worker lease deadline between messages *)
   max_lease_attempts : int;
       (** lease failures tolerated per batch before {e that} campaign
           is poisoned *)
-  compact_every : int;  (** records appended to a shard before compaction *)
   max_active : int;  (** campaigns scheduled concurrently; rest queue *)
   chaos_kills : int list;
       (** SIGKILL the most recent deliverer when the pool-wide
@@ -47,41 +46,29 @@ type config = {
 let default_config =
   {
     workers = 2;
-    batch = 16;
-    shards = 4;
     heartbeat_s = 30.0;
     max_lease_attempts = 3;
-    compact_every = 4096;
     max_active = 4;
     chaos_kills = [];
     retry = Executor.default_config;
     metrics = None;
   }
 
-(** One campaign as the scheduler sees it.  [jb_accept i record] hands
-    a freshly delivered trial record to the owner; [true] means the
-    owner decoded and kept it (the engine then marks index [i] filled
-    and journals the record verbatim).  [jb_spec] is the wire form a
-    worker can rebuild the campaign from; jobs without one can only
-    run on workers forked with the campaign preloaded.
-    [jb_should_stop boundary] is the owner's early-stop predicate,
-    asked at fixed batch boundaries over contiguous prefixes, in
-    order — mirroring the in-process executor. *)
+(** One campaign as the scheduler sees it.  [jb_spec] is the wire form
+    a worker can rebuild the campaign from; jobs without one can only
+    run on workers forked with the campaign preloaded.  [jb_ledger]
+    receives every delivered record; its journal is opened (or resumed)
+    at admission. *)
 type job = {
   jb_id : string;
   jb_app : string;  (** display only *)
-  jb_total : int;
-  jb_header : Csexp.t;
-  jb_journal : string option;  (** this campaign's own shard directory *)
-  jb_resume : bool;
   jb_spec : Campaign.spec option;
-  jb_accept : int -> Csexp.t -> bool;
-  jb_should_stop : (int -> bool) option;
+  jb_ledger : Ledger.erased;
 }
 
 type event =
   | Progress of { completed : int; planned : int; stolen : int }
-  | Finished of { completed : int; stopped_early : bool; resumed : int }
+  | Finished  (** the owner's ledger holds the report *)
   | Poisoned of { batch : int; attempts : int; cause : Infra.cause }
   | Failed of { reason : string }
       (** admission failed (journal header mismatch, ...) *)
@@ -104,18 +91,11 @@ type tstate = Queued | Active | Finished_t | Poisoned_t | Failed_t
 type tenant = {
   job : job;
   nbatches : int;
-  filled : bool array;
   lease : lease array;
   attempts : int array;
   eligible : float array;
   mutable state : tstate;
-  mutable journal : Shard.t option;
-  mutable resumed : int;
   mutable open_batches : int;
-  mutable completed_n : int;  (** filled count, maintained incrementally *)
-  mutable prefix : int;
-  mutable checked : int;
-  mutable stop_at : int option;
   mutable steals : int;
   mutable last_served : int;
 }
@@ -175,69 +155,30 @@ let create ?(cfg = default_config) ?spawn
 let obs_count (t : t) name n =
   match t.cfg.metrics with Some m -> Obs.count m name n | None -> ()
 
-let trial_key (r : Csexp.t) : string option =
-  match r with
-  | Csexp.List (Csexp.Atom "t" :: Csexp.Atom idx :: _) -> Some idx
-  | _ -> None
-
-let record_index (r : Csexp.t) : int option =
-  match r with
-  | Csexp.List (Csexp.Atom "t" :: Csexp.Atom idx :: _) ->
-      int_of_string_opt idx
-  | _ -> None
-
 let record_is_infra (r : Csexp.t) : bool =
   match r with
   | Csexp.List (Csexp.Atom "t" :: _ :: Csexp.Atom "err" :: _) -> true
   | _ -> false
 
-(* --- per-tenant geometry ------------------------------------------------- *)
+(* --- per-tenant geometry (the ledger's batches) ------------------------- *)
 
-let batch_size (t : t) = max 1 t.cfg.batch
+let batch_range (ten : tenant) b =
+  let l = ten.job.jb_ledger in
+  (b * l.batch, min l.total ((b + 1) * l.batch))
 
-let batch_range (t : t) (ten : tenant) b =
-  let bs = batch_size t in
-  (b * bs, min ten.job.jb_total ((b + 1) * bs))
-
-let first_unfilled (t : t) (ten : tenant) b =
-  let lo, hi = batch_range t ten b in
+let first_unfilled (ten : tenant) b =
+  let lo, hi = batch_range ten b in
   let rec go i =
-    if i >= hi then None else if ten.filled.(i) then go (i + 1) else Some i
+    if i >= hi then None
+    else if ten.job.jb_ledger.filled i then go (i + 1)
+    else Some i
   in
   go lo
 
-(* early-stop bookkeeping mirrors the executor: the predicate sees
-   contiguous completed prefixes at fixed batch boundaries, in order *)
-let advance_prefix (t : t) (ten : tenant) =
-  let total = ten.job.jb_total in
-  while ten.prefix < total && ten.filled.(ten.prefix) do
-    ten.prefix <- ten.prefix + 1
-  done;
-  match ten.job.jb_should_stop with
-  | None -> ()
-  | Some p ->
-      let bs = batch_size t in
-      let continue_ = ref true in
-      while !continue_ && ten.stop_at = None && ten.checked < ten.nbatches do
-        let boundary = min total ((ten.checked + 1) * bs) in
-        if ten.prefix >= boundary then begin
-          ten.checked <- ten.checked + 1;
-          if p boundary then ten.stop_at <- Some boundary
-        end
-        else continue_ := false
-      done
-
 (* --- tenant lifecycle ---------------------------------------------------- *)
 
-let close_journal (ten : tenant) =
-  match ten.journal with
-  | None -> ()
-  | Some sh ->
-      (try
-         Shard.sync_all sh;
-         Shard.close sh
-       with Sys_error _ | Unix.Unix_error _ -> ());
-      ten.journal <- None
+let close_ledger (ten : tenant) =
+  try ten.job.jb_ledger.close () with Sys_error _ | Unix.Unix_error _ -> ()
 
 let emit (t : t) (ten : tenant) (e : event) = t.on_event ten.job.jb_id e
 
@@ -245,81 +186,57 @@ let progress (t : t) (ten : tenant) =
   emit t ten
     (Progress
        {
-         completed = ten.completed_n;
-         planned = ten.job.jb_total;
+         completed = ten.job.jb_ledger.recorded ();
+         planned = ten.job.jb_ledger.total;
          stolen = ten.steals;
        })
 
 let finish (t : t) (ten : tenant) =
-  close_journal ten;
+  close_ledger ten;
   ten.state <- Finished_t;
   t.active <- t.active - 1;
   obs_count t "server/tenants-finished" 1;
-  let completed =
-    match ten.stop_at with Some n -> n | None -> ten.prefix
-  in
-  emit t ten
-    (Finished
-       {
-         completed;
-         stopped_early = ten.stop_at <> None;
-         resumed = ten.resumed;
-       })
+  emit t ten Finished
 
 let maybe_finish (t : t) (ten : tenant) =
-  if ten.state = Active && (ten.open_batches = 0 || ten.stop_at <> None) then
-    finish t ten
+  if
+    ten.state = Active
+    && (ten.open_batches = 0 || ten.job.jb_ledger.stopped ())
+  then finish t ten
 
 let poison (t : t) (ten : tenant) (b : int) (cause : Infra.cause) =
-  close_journal ten;
+  close_ledger ten;
   ten.state <- Poisoned_t;
   t.active <- t.active - 1;
   obs_count t "server/tenants-poisoned" 1;
   emit t ten (Poisoned { batch = b; attempts = ten.attempts.(b); cause })
 
-(** Close batch [b]: mark done, persist, advance the early-stop
-    machinery, and tell the owner.  Reached from [Batch_done] {e and}
-    from the stolen-batch path where every record arrived before the
-    thief ran — both must advance the prefix identically. *)
+(** Close batch [b]: mark done, let the ledger persist it and advance
+    its prefix and early-stop check, and tell the owner.  Reached from
+    [Batch_done] {e and} from the stolen-batch path where every record
+    arrived before the thief ran — both close the boundary alike. *)
 let close_batch (t : t) (ten : tenant) (b : int) =
   ten.lease.(b) <- Done_;
   ten.open_batches <- ten.open_batches - 1;
-  (match ten.journal with
-  | Some sh ->
-      Shard.sync sh ~shard:b;
-      if Shard.appended sh ~shard:b >= t.cfg.compact_every then begin
-        ignore (Shard.compact sh ~key:trial_key ~shard:b);
-        obs_count t "server/compactions" 1
-      end
-  | None -> ());
-  advance_prefix t ten;
+  ten.job.jb_ledger.close_batch b;
   progress t ten;
   maybe_finish t ten
 
 let submit (t : t) (job : job) : (unit, string) result =
-  if job.jb_total < 0 then Error "negative trial total"
-  else if Hashtbl.mem t.tenants job.jb_id then
+  if Hashtbl.mem t.tenants job.jb_id then
     Error (Printf.sprintf "duplicate campaign id %s" job.jb_id)
   else begin
-    let total = job.jb_total in
-    let bs = batch_size t in
-    let nbatches = (total + bs - 1) / bs in
+    let l = job.jb_ledger in
+    let nbatches = (l.total + l.batch - 1) / l.batch in
     let ten =
       {
         job;
         nbatches;
-        filled = Array.make total false;
         lease = Array.make nbatches Todo;
         attempts = Array.make nbatches 0;
         eligible = Array.make nbatches 0.0;
         state = Queued;
-        journal = None;
-        resumed = 0;
         open_batches = 0;
-        completed_n = 0;
-        prefix = 0;
-        checked = 0;
-        stop_at = None;
         steals = 0;
         last_served = 0;
       }
@@ -331,45 +248,17 @@ let submit (t : t) (job : job) : (unit, string) result =
     Ok ()
   end
 
-(** Admission: open (or heal-and-resume) the tenant's own journal,
-    replay surviving records through the owner's [jb_accept], and
-    schedule whatever is still open.  A campaign that resumes complete
-    finishes here without ever touching the pool. *)
+(** Admission: the ledger opens (or heals, validates and replays) its
+    journal, and whatever is still open is scheduled.  A campaign that
+    resumes complete finishes here without ever touching the pool. *)
 let admit (t : t) (ten : tenant) =
   match
-    let total = ten.job.jb_total in
-    (match ten.job.jb_journal with
-    | None -> ()
-    | Some dir ->
-        if ten.job.jb_resume && Sys.file_exists dir then begin
-          let sh, records =
-            Shard.open_resume ~dir ~shards:t.cfg.shards
-              ~header:ten.job.jb_header
-          in
-          ten.journal <- Some sh;
-          List.iter
-            (fun r ->
-              match record_index r with
-              | Some i
-                when i >= 0 && i < total && (not ten.filled.(i))
-                     && ten.job.jb_accept i r ->
-                  ten.filled.(i) <- true;
-                  ten.completed_n <- ten.completed_n + 1;
-                  ten.resumed <- ten.resumed + 1
-              | Some _ | None -> ())
-            records
-        end
-        else
-          ten.journal <-
-            Some
-              (Shard.create ~dir ~shards:t.cfg.shards
-                 ~header:ten.job.jb_header));
+    ten.job.jb_ledger.open_journal ();
     for b = 0 to ten.nbatches - 1 do
-      match first_unfilled t ten b with
+      match first_unfilled ten b with
       | None -> ten.lease.(b) <- Done_
       | Some _ -> ten.open_batches <- ten.open_batches + 1
-    done;
-    advance_prefix t ten
+    done
   with
   | () ->
       ten.state <- Active;
@@ -378,9 +267,10 @@ let admit (t : t) (ten : tenant) =
       progress t ten;
       maybe_finish t ten
   | exception e ->
-      close_journal ten;
+      close_ledger ten;
       ten.state <- Failed_t;
-      emit t ten (Failed { reason = Printexc.to_string e })
+      let reason = match e with Failure m -> m | e -> Printexc.to_string e in
+      emit t ten (Failed { reason })
 
 (* --- the worker pool ----------------------------------------------------- *)
 
@@ -428,10 +318,26 @@ let attach_remote (t : t) (conn : Wire.conn) : unit =
   obs_count t "server/workers-attached" 1;
   ignore (add_slot t Remote 0 conn)
 
-(** A dead or stalled worker: kill, reap, steal its lease back (with
-    the jittered backoff before re-assignment), drop the slot.  The
-    steal only poisons the lease's {e own} campaign; every other
-    tenant — and the replacement worker — is untouched. *)
+(** Take batch [b] of campaign [cid] back from worker [s]: it becomes
+    eligible again after the jittered backoff ({!Executor.backoff_s}),
+    and exhausting its lease attempts poisons {e that} campaign only,
+    with [cause]. *)
+let steal (t : t) (s : wslot) (cid : string) (b : int) (cause : Infra.cause) =
+  match Hashtbl.find_opt t.tenants cid with
+  | Some ten when ten.state = Active && ten.lease.(b) = Leased s.ws_id ->
+      ten.attempts.(b) <- ten.attempts.(b) + 1;
+      ten.steals <- ten.steals + 1;
+      obs_count t "server/leases-stolen" 1;
+      ten.lease.(b) <- Todo;
+      ten.eligible.(b) <-
+        Unix.gettimeofday ()
+        +. Executor.backoff_s t.cfg.retry b (ten.attempts.(b) - 1);
+      if ten.attempts.(b) > t.cfg.max_lease_attempts then poison t ten b cause
+  | _ -> ()
+
+(** A dead, stalled or corrupting worker (fail-stop): kill, reap, steal
+    its lease back, drop the slot.  Every other tenant — and the
+    replacement worker — is untouched. *)
 let worker_down (t : t) (s : wslot) (cause : Infra.cause) =
   if not s.ws_dead then begin
     s.ws_dead <- true;
@@ -442,21 +348,9 @@ let worker_down (t : t) (s : wslot) (cause : Infra.cause) =
     | Remote -> ());
     match s.ws_assign with
     | None -> ()
-    | Some (cid, b) -> (
+    | Some (cid, b) ->
         s.ws_assign <- None;
-        match Hashtbl.find_opt t.tenants cid with
-        | Some ten when ten.state = Active && ten.lease.(b) = Leased s.ws_id
-          ->
-            ten.attempts.(b) <- ten.attempts.(b) + 1;
-            ten.steals <- ten.steals + 1;
-            obs_count t "server/leases-stolen" 1;
-            ten.lease.(b) <- Todo;
-            ten.eligible.(b) <-
-              Unix.gettimeofday ()
-              +. Executor.backoff_s t.cfg.retry b (ten.attempts.(b) - 1);
-            if ten.attempts.(b) > t.cfg.max_lease_attempts then
-              poison t ten b cause
-        | _ -> ())
+        steal t s cid b cause
   end
 
 (** A worker answered that it cannot serve this campaign: take the
@@ -468,20 +362,9 @@ let load_failed (t : t) (s : wslot) (cid : string) (reason : string) =
   Hashtbl.remove s.ws_loaded cid;
   Hashtbl.replace s.ws_noload cid ();
   match s.ws_assign with
-  | Some (c, b) when c = cid -> (
+  | Some (c, b) when c = cid ->
       s.ws_assign <- None;
-      match Hashtbl.find_opt t.tenants cid with
-      | Some ten when ten.state = Active && ten.lease.(b) = Leased s.ws_id ->
-          ten.attempts.(b) <- ten.attempts.(b) + 1;
-          ten.steals <- ten.steals + 1;
-          obs_count t "server/leases-stolen" 1;
-          ten.lease.(b) <- Todo;
-          ten.eligible.(b) <-
-            Unix.gettimeofday ()
-            +. Executor.backoff_s t.cfg.retry b (ten.attempts.(b) - 1);
-          if ten.attempts.(b) > t.cfg.max_lease_attempts then
-            poison t ten b (Infra.Load_failed { cid; reason })
-      | _ -> ())
+      steal t s cid b (Infra.Load_failed { cid; reason })
   | _ -> ()
 
 (* --- message handling ---------------------------------------------------- *)
@@ -504,40 +387,29 @@ let handle (t : t) (s : wslot) (msg : Csexp.t) : bool =
       true
   | Ok (Proto.Trial { cid; record }) -> (
       match Hashtbl.find_opt t.tenants cid with
-      | Some ten when ten.state = Active -> (
-          match record_index record with
-          | Some i
-            when i >= 0 && i < ten.job.jb_total && (not ten.filled.(i))
-                 && ten.job.jb_accept i record ->
-              ten.filled.(i) <- true;
-              ten.completed_n <- ten.completed_n + 1;
-              if record_is_infra record then
-                obs_count t "server/infra-errors" 1;
-              (match ten.journal with
-              | Some sh ->
-                  Shard.append sh ~shard:(i / batch_size t) record
-              | None -> ());
-              t.delivered <- t.delivered + 1;
-              (match t.kills with
-              | k :: rest when t.delivered >= k ->
-                  t.kills <- rest;
-                  obs_count t "server/chaos-kills" 1;
-                  (match s.ws_kind with
-                  | Fork ->
-                      (* EOF will surface next round and steal the lease *)
-                      sigkill s.ws_pid
-                  | Remote ->
-                      (* no pid to kill from here: drop the connection,
-                         which is exactly what a vanished machine looks
-                         like *)
-                      worker_down t s
-                        (Infra.Worker_lost
-                           { pid = s.ws_pid; batch = Option.map snd s.ws_assign }));
-                  false
-              | _ -> true)
-          | Some _ -> true  (* duplicate from a stolen batch: first write wins *)
-          | None -> true)
-      | _ -> true  (* tenant finished or poisoned: late records drop *))
+      | Some ten when ten.state = Active && ten.job.jb_ledger.accept record -> (
+          if record_is_infra record then obs_count t "server/infra-errors" 1;
+          t.delivered <- t.delivered + 1;
+          match t.kills with
+          | k :: rest when t.delivered >= k ->
+              t.kills <- rest;
+              obs_count t "server/chaos-kills" 1;
+              (match s.ws_kind with
+              | Fork ->
+                  (* EOF will surface next round and steal the lease *)
+                  sigkill s.ws_pid
+              | Remote ->
+                  (* no pid to kill from here: drop the connection, which
+                     is exactly what a vanished machine looks like *)
+                  worker_down t s
+                    (Infra.Worker_lost
+                       { pid = s.ws_pid; batch = Option.map snd s.ws_assign }));
+              false
+          | _ -> true)
+      | _ ->
+          (* a duplicate from a stolen batch (first write wins), or the
+             tenant finished or was poisoned: late records drop *)
+          true)
   | Ok (Proto.Batch_done { cid; batch = b; retries }) -> (
       obs_count t "server/retries" retries;
       (match s.ws_assign with
@@ -568,21 +440,26 @@ let first_ready (ten : tenant) (now : float) : int option =
   in
   go 0
 
+let held (leases : (string, int) Hashtbl.t) (cid : string) : int =
+  Option.value ~default:0 (Hashtbl.find_opt leases cid)
+
+(** Leases held per campaign across the live pool. *)
+let leases_held (t : t) : (string, int) Hashtbl.t =
+  let leases = Hashtbl.create 8 in
+  List.iter
+    (fun s ->
+      match s.ws_assign with
+      | Some (cid, _) -> Hashtbl.replace leases cid (1 + held leases cid)
+      | None -> ())
+    (live_slots t);
+  leases
+
 (** Give every free worker a batch.  The tenant holding the fewest
     leases wins the worker (ties broken least-recently-served, then by
     id — deterministic), which is what keeps one wide campaign from
     starving the rest of the queue. *)
 let assign (t : t) =
-  let leases_held : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun s ->
-      match s.ws_assign with
-      | Some (cid, _) ->
-          Hashtbl.replace leases_held cid
-            (1 + Option.value ~default:0 (Hashtbl.find_opt leases_held cid))
-      | None -> ())
-    (live_slots t);
-  let held cid = Option.value ~default:0 (Hashtbl.find_opt leases_held cid) in
+  let leases = leases_held t in
   List.iter
     (fun s ->
       if (not s.ws_dead) && s.ws_assign = None then begin
@@ -596,7 +473,7 @@ let assign (t : t) =
                   && servable t s ten
                   && first_ready ten now <> None
                 then
-                  let k = (held cid, ten.last_served, cid) in
+                  let k = (held leases cid, ten.last_served, cid) in
                   match acc with
                   | Some (k', _) when compare k' k <= 0 -> acc
                   | _ -> Some (k, ten)
@@ -610,7 +487,7 @@ let assign (t : t) =
               match first_ready ten now with
               | None -> ()
               | Some b -> (
-                  match first_unfilled t ten b with
+                  match first_unfilled ten b with
                   | None ->
                       (* a stolen batch whose records all arrived before
                          the thief ran: nothing left to compute — but
@@ -620,7 +497,7 @@ let assign (t : t) =
                       close_batch t ten b;
                       try_assign ()
                   | Some lo -> (
-                      let _, hi = batch_range t ten b in
+                      let _, hi = batch_range ten b in
                       try
                         if
                           (not (Hashtbl.mem s.ws_loaded cid))
@@ -643,7 +520,7 @@ let assign (t : t) =
                         s.ws_assign <- Some (cid, b);
                         t.served <- t.served + 1;
                         ten.last_served <- t.served;
-                        Hashtbl.replace leases_held cid (held cid + 1);
+                        Hashtbl.replace leases cid (held leases cid + 1);
                         Watchdog.refresh s.ws_dl
                       with Wire.Closed ->
                         worker_down t s
@@ -710,7 +587,9 @@ let step (t : t) ~(idle_s : float) : unit =
             worker_down t s
               (Infra.Worker_lost
                  { pid = s.ws_pid; batch = Option.map snd s.ws_assign })
-        | Wire.Corrupt m -> worker_down t s (Infra.Wire_fault { message = m }))
+        | Wire.Corrupt m ->
+            obs_count t "server/wire-faults" 1;
+            worker_down t s (Infra.Wire_fault { message = m }))
     (live_slots t);
   (* heartbeat deadlines: a leased worker that went quiet *)
   List.iter
@@ -769,7 +648,7 @@ let shutdown_workers (t : t) : unit =
     kill the pool — the cleanup path when the caller's loop raises. *)
 let abort (t : t) : unit =
   Hashtbl.iter
-    (fun _ ten -> if ten.state = Active then close_journal ten)
+    (fun _ ten -> if ten.state = Active then close_ledger ten)
     t.tenants;
   shutdown_workers t
 
@@ -783,15 +662,7 @@ let state_name = function
   | Failed_t -> "failed"
 
 let stats (t : t) : tenant_stats list =
-  let leases_held : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun s ->
-      match s.ws_assign with
-      | Some (cid, _) ->
-          Hashtbl.replace leases_held cid
-            (1 + Option.value ~default:0 (Hashtbl.find_opt leases_held cid))
-      | None -> ())
-    (live_slots t);
+  let leases = leases_held t in
   List.rev_map
     (fun cid ->
       let ten = Hashtbl.find t.tenants cid in
@@ -799,10 +670,9 @@ let stats (t : t) : tenant_stats list =
         ts_id = cid;
         ts_app = ten.job.jb_app;
         ts_state = state_name ten.state;
-        ts_completed = ten.completed_n;
-        ts_planned = ten.job.jb_total;
-        ts_leases =
-          Option.value ~default:0 (Hashtbl.find_opt leases_held cid);
+        ts_completed = ten.job.jb_ledger.recorded ();
+        ts_planned = ten.job.jb_ledger.total;
+        ts_leases = held leases cid;
         ts_steals = ten.steals;
       })
     t.submitted

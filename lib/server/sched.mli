@@ -1,20 +1,18 @@
 (** The multi-tenant fair-share lease scheduler: one worker pool
     (forked children and remote TCP attachments), many concurrently
     interleaved campaigns, per-campaign fault isolation.  Type-erased:
-    owners receive their trial records through a callback and keep the
-    typed state; each tenant's record sequence is first-write-wins in
-    index order, so its counts are byte-identical to its own
-    [--jobs 1] run regardless of interleaving or worker deaths. *)
+    each tenant's records go into the {!Ledger.erased} view of its
+    owner's typed ledger, which keeps them first-write-wins, so its
+    counts are byte-identical to its own [--jobs 1] run regardless of
+    interleaving or worker deaths.  A worker that dies, stalls or
+    sends a corrupt frame is killed and its lease stolen (fail-stop). *)
 
 type config = {
   workers : int;  (** forked worker processes to keep at strength *)
-  batch : int;  (** trials per lease; fixed boundaries like the executor *)
-  shards : int;  (** journal shards per tenant *)
   heartbeat_s : float;  (** per-worker lease deadline between messages *)
   max_lease_attempts : int;
       (** lease failures tolerated per batch before {e that} campaign
           is poisoned *)
-  compact_every : int;
   max_active : int;  (** campaigns scheduled concurrently; rest queue *)
   chaos_kills : int list;
       (** SIGKILL the most recent deliverer when the pool-wide
@@ -28,24 +26,17 @@ val default_config : config
 type job = {
   jb_id : string;
   jb_app : string;  (** display only *)
-  jb_total : int;
-  jb_header : Csexp.t;  (** journal header ({!Executor.header_record}) *)
-  jb_journal : string option;  (** this campaign's own shard directory *)
-  jb_resume : bool;
   jb_spec : Campaign.spec option;
       (** wire form workers rebuild the campaign from; [None] = only
           runnable on workers forked with it preloaded *)
-  jb_accept : int -> Csexp.t -> bool;
-      (** deliver one fresh record to the owner; [true] = decoded and
-          kept (the engine marks the index filled and journals it) *)
-  jb_should_stop : (int -> bool) option;
-      (** early-stop predicate over contiguous prefixes at batch
-          boundaries, in order *)
+  jb_ledger : Ledger.erased;
+      (** the campaign's ledger: its batches are the leases, it keeps
+          and journals delivered records and decides early stop *)
 }
 
 type event =
   | Progress of { completed : int; planned : int; stolen : int }
-  | Finished of { completed : int; stopped_early : bool; resumed : int }
+  | Finished  (** the owner's ledger holds the report *)
   | Poisoned of { batch : int; attempts : int; cause : Infra.cause }
   | Failed of { reason : string }  (** admission failed *)
 
@@ -75,8 +66,9 @@ val create :
     lifecycle, keyed by campaign id. *)
 
 val submit : t -> job -> (unit, string) result
-(** Enqueue a campaign; admitted (journal opened/resumed) when a slot
-    under [max_active] frees up.  Fails on duplicate id. *)
+(** Enqueue a campaign; admitted (its ledger's journal opened or
+    resumed) when a slot under [max_active] frees up.  Fails on
+    duplicate id. *)
 
 val attach_remote : t -> Wire.conn -> unit
 (** Add a remote TCP worker to the pool.  A vanished remote is handled

@@ -19,9 +19,9 @@
        persisted so a client can [fetch] it long after the submitting
        connection died.}}
 
-    Determinism is per-tenant and unchanged from the single-campaign
-    server: trials depend only on their index, records are accumulated
-    first-write-wins in index order, so every campaign's counts are
+    Determinism is per-tenant and is the {!Ledger}'s: trials depend
+    only on their index, each campaign's ledger keeps its records
+    first-write-wins, so every campaign's counts are
     byte-identical to its own [--jobs 1] run no matter how many
     tenants interleave or how many workers die.  [chaos_kills] turns
     that claim into a test. *)
@@ -39,7 +39,6 @@ type config = {
   max_lease_attempts : int;
       (** lease failures tolerated per batch before the campaign is
           poisoned *)
-  compact_every : int;  (** records appended to a shard before compaction *)
   max_active : int;
       (** campaigns scheduled concurrently by {!serve}; the rest wait
           in the admission queue *)
@@ -68,7 +67,6 @@ let default_config =
     resume = false;
     heartbeat_s = 30.0;
     max_lease_attempts = 3;
-    compact_every = 4096;
     max_active = 4;
     chaos_kills = [];
     chaos_stall_done_s = 0.0;
@@ -80,11 +78,8 @@ let default_config =
 let sched_config (cfg : config) : Sched.config =
   {
     Sched.workers = cfg.workers;
-    batch = cfg.batch;
-    shards = cfg.shards;
     heartbeat_s = cfg.heartbeat_s;
     max_lease_attempts = cfg.max_lease_attempts;
-    compact_every = cfg.compact_every;
     max_active = cfg.max_active;
     chaos_kills = cfg.chaos_kills;
     retry = cfg.retry;
@@ -93,48 +88,27 @@ let sched_config (cfg : config) : Sched.config =
 
 (* --- the single-spec front door ------------------------------------------ *)
 
+(** A campaign's ledger over [dir]'s shards (batch [b] logs to shard
+    [b mod shards]), or without a journal. *)
+let campaign_ledger (cfg : config) ~(resume : bool) (dir : string option)
+    (spec : 'a Executor.spec) : 'a Ledger.t =
+  Ledger.create ~resume ~batch:cfg.batch
+    ?journal:
+      (Option.map (fun dir -> Shard.shard_paths ~dir ~shards:cfg.shards) dir)
+    spec
+
 let run ?(cfg = default_config) ?(idle = fun () -> ())
     ?(child_close : Unix.file_descr list = []) (spec : 'a Executor.spec) :
     'a Executor.report =
-  if spec.Executor.total < 0 then invalid_arg "Server.run: negative total";
   if cfg.workers < 1 then invalid_arg "Server.run: need at least one worker";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let t0 = Unix.gettimeofday () in
-  let total = spec.Executor.total in
-  let outcomes : 'a Executor.outcome option array = Array.make total None in
+  let ledger = campaign_ledger cfg ~resume:cfg.resume cfg.journal_dir spec in
   let cid = "job" in
-  let accept i r =
-    match Executor.parse_trial spec.Executor.decode r with
-    | Some (j, o) when j = i ->
-        outcomes.(i) <- Some o;
-        true
-    | Some _ | None -> false
-  in
-  let should_stop = Executor.boundary_stop spec outcomes in
-  let finished = ref None in
-  let poisoned = ref None in
-  let failed = ref None in
-  let resumed_n = ref 0 in
+  let ended = ref None in
   let on_event _ = function
-    | Sched.Progress { completed; planned; stolen = _ } -> (
-        match cfg.on_progress with
-        | None -> ()
-        | Some f ->
-            let elapsed_s = Unix.gettimeofday () -. t0 in
-            let fresh = completed - !resumed_n in
-            let eta_s =
-              if fresh <= 0 then 0.0
-              else
-                elapsed_s /. Float.of_int fresh
-                *. Float.of_int (planned - completed)
-            in
-            f { Executor.completed; planned; elapsed_s; eta_s })
-    | Sched.Finished { completed; stopped_early; resumed } ->
-        resumed_n := resumed;
-        finished := Some (completed, stopped_early, resumed)
-    | Sched.Poisoned { batch; attempts; cause } ->
-        poisoned := Some (batch, attempts, cause)
-    | Sched.Failed { reason } -> failed := Some reason
+    | Sched.Progress _ ->
+        Option.iter (fun f -> f (Ledger.progress ledger)) cfg.on_progress
+    | e -> ended := Some e
   in
   (* workers carry the spec's trial closure in their fork image: a
      closure cannot travel on a wire, so this campaign only runs on
@@ -151,19 +125,12 @@ let run ?(cfg = default_config) ?(idle = fun () -> ())
     Sched.create ~cfg:(sched_config cfg) ~spawn ~preloaded:(String.equal cid)
       ~on_event ()
   in
-  (* a resumed journal fills [outcomes] through [accept] before the
-     Finished/first-Progress event fires, so count resumed fills here *)
   let job =
     {
       Sched.jb_id = cid;
       jb_app = spec.Executor.tag;
-      jb_total = total;
-      jb_header = Executor.header_record spec;
-      jb_journal = cfg.journal_dir;
-      jb_resume = cfg.resume;
       jb_spec = None;
-      jb_accept = accept;
-      jb_should_stop = should_stop;
+      jb_ledger = Ledger.erase ledger;
     }
   in
   (match Sched.submit eng job with
@@ -178,36 +145,13 @@ let run ?(cfg = default_config) ?(idle = fun () -> ())
      Sched.abort eng;
      raise e);
   Sched.shutdown_workers eng;
-  (match !failed with
-  | Some reason -> failwith ("Server.run: " ^ reason)
-  | None -> ());
-  (match !poisoned with
-  | Some (b, attempts, cause) ->
-      raise (Infra.Campaign_poisoned { batch = b; attempts; cause })
-  | None -> ());
-  match !finished with
-  | None -> assert false (* drain only returns with a terminal event *)
-  | Some (completed, stopped_early, resumed) ->
-      let final =
-        Array.init completed (fun i ->
-            match outcomes.(i) with Some o -> o | None -> assert false)
-      in
-      let infra_errors =
-        Array.fold_left
-          (fun a -> function
-            | Executor.Infra_error _ -> a + 1
-            | Executor.Done _ -> a)
-          0 final
-      in
-      {
-        Executor.outcomes = final;
-        planned = total;
-        completed;
-        infra_errors;
-        stopped_early;
-        resumed;
-        wall_s = Unix.gettimeofday () -. t0;
-      }
+  match !ended with
+  | Some Sched.Finished -> Ledger.report ledger
+  | Some (Sched.Failed { reason }) -> failwith ("Server.run: " ^ reason)
+  | Some (Sched.Poisoned { batch; attempts; cause }) ->
+      raise (Infra.Campaign_poisoned { batch; attempts; cause })
+  | Some (Sched.Progress _) | None ->
+      assert false (* the engine only idles after a terminal event *)
 
 (* --- campaign plans (re-exported from Plan) ------------------------------ *)
 
@@ -273,7 +217,7 @@ type watcher = { wt_conn : Wire.conn; mutable wt_dead : bool }
 type tenant_entry = {
   te_id : string;
   te_app : string;
-  te_outcomes : Campaign.outcome_class Executor.outcome option array;
+  te_ledger : Campaign.outcome_class Ledger.t;
   mutable te_watchers : watcher list;
 }
 
@@ -410,14 +354,11 @@ let serve ?(cfg = default_config) ?(cache_dir : string option)
         match ev with
         | Sched.Progress { completed; planned; stolen } ->
             broadcast e (Proto.Progress { id; completed; planned; stolen })
-        | Sched.Finished { completed; _ } ->
-            let final =
-              Array.init completed (fun i ->
-                  match e.te_outcomes.(i) with
-                  | Some o -> o
-                  | None -> assert false)
+        | Sched.Finished ->
+            let counts =
+              Campaign.counts_of_outcomes
+                (Ledger.report e.te_ledger).Executor.outcomes
             in
-            let counts = Campaign.counts_of_outcomes final in
             finish_entry e (Proto.Result { id; counts })
         | Sched.Poisoned { batch; attempts; cause } ->
             finish_entry e
@@ -493,29 +434,19 @@ let serve ?(cfg = default_config) ?(cache_dir : string option)
                   {
                     te_id = id;
                     te_app = spec.Campaign.sp_app;
-                    te_outcomes = Array.make ex_spec.Executor.total None;
+                    te_ledger =
+                      campaign_ledger cfg ~resume:true
+                        (Option.map (fun d -> Filename.concat d id) root)
+                        ex_spec;
                     te_watchers = [];
                   }
-                in
-                let accept i r =
-                  match Executor.parse_trial ex_spec.Executor.decode r with
-                  | Some (j, o) when j = i ->
-                      entry.te_outcomes.(i) <- Some o;
-                      true
-                  | Some _ | None -> false
                 in
                 let job =
                   {
                     Sched.jb_id = id;
                     jb_app = entry.te_app;
-                    jb_total = ex_spec.Executor.total;
-                    jb_header = Executor.header_record ex_spec;
-                    jb_journal =
-                      Option.map (fun d -> Filename.concat d id) root;
-                    jb_resume = true;
                     jb_spec = Some spec;
-                    jb_accept = accept;
-                    jb_should_stop = None;
+                    jb_ledger = Ledger.erase entry.te_ledger;
                   }
                 in
                 match Sched.submit eng job with

@@ -23,7 +23,6 @@ type config = {
   max_lease_attempts : int;
       (** lease failures tolerated per batch before the campaign is
           poisoned *)
-  compact_every : int;  (** records appended to a shard before compaction *)
   max_active : int;
       (** campaigns {!serve} schedules concurrently; the rest queue *)
   chaos_kills : int list;
@@ -40,16 +39,15 @@ type config = {
   metrics : Obs.t option;
       (** scheduler metrics: [server/workers-forked],
           [server/workers-attached], [server/leases-stolen],
-          [server/heartbeats-missed], [server/retries],
-          [server/compactions], [server/chaos-kills],
+          [server/heartbeats-missed], [server/wire-faults],
+          [server/retries], [server/chaos-kills],
           [server/infra-errors], [server/tenants-*] *)
   on_progress : (Executor.progress -> unit) option;
 }
 
 val default_config : config
 (** 2 workers, batch 16, 4 shards, no journal, 30 s heartbeats, 3 lease
-    attempts, compaction every 4096 records, 4 concurrent campaigns,
-    no chaos. *)
+    attempts, 4 concurrent campaigns, no chaos. *)
 
 val run :
   ?cfg:config ->

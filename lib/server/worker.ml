@@ -38,7 +38,7 @@ let make_runner (type a) ~(retry : Executor.config) ~(run_trial : int -> a)
       should_stop = None;
     }
   in
-  fun i -> Executor.trial_record encode i (Executor.attempt retry espec i)
+  fun i -> Ledger.trial_record encode i (Executor.attempt retry espec i)
 
 let runner_of_exec_spec ~(retry : Executor.config)
     (spec : 'a Executor.spec) : runner =
@@ -67,11 +67,11 @@ let heartbeat (conn : Wire.conn) (idx : int) : unit =
     campaign the worker cannot load is answered with [Load_failed] —
     never silently dropped — so the scheduler steals the batch back.
 
-    [stall_batch_done_s] is a chaos hook (like {!Wire.set_inject}): it
-    widens the otherwise microsecond window between a batch's last
-    trial record and its [Batch_done], the exact window in which a
-    crash orphans a fully-delivered lease — the server must steal it
-    and close the batch without recomputing anything. *)
+    [stall_batch_done_s] is a chaos hook: it widens the otherwise
+    microsecond window between a batch's last trial record and its
+    [Batch_done], the exact window in which a crash orphans a
+    fully-delivered lease — the server must steal it and close the
+    batch without recomputing anything. *)
 let run ?(recv_timeout_s = 60.0) ?(stall_batch_done_s = 0.0)
     ?(preload : (string * (Executor.config -> runner)) list = [])
     ?(load : loader option) ~(conn : Wire.conn) ~(retry : Executor.config) ()

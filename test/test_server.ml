@@ -1,8 +1,9 @@
-(* The campaign server: wire framing (dup suppression, checksum +
-   resend, deadlines), the content-addressed cache, the infra
-   taxonomy, protocol codecs, sharded journals, and the core
-   crash-tolerance contract — a campaign whose workers are SIGKILLed
-   mid-flight produces counts byte-identical to --jobs 1. *)
+(* The campaign server: wire framing (fail-stop checksums, deadlines),
+   the content-addressed cache, the infra taxonomy, protocol codecs,
+   sharded journals, the ledger's one duplicate rule across both
+   journal layouts, and the core crash-tolerance contract — a campaign
+   whose workers are SIGKILLed mid-flight, or corrupt their wire,
+   produces counts byte-identical to --jobs 1. *)
 
 let with_temp_dir f =
   let dir =
@@ -32,59 +33,41 @@ let test_wire_roundtrip () =
   Wire.close a;
   Wire.close b
 
-let test_wire_dup_suppression () =
-  let a, b = Wire.pair () in
-  (* every frame is written twice; the receiver must deliver each once *)
-  Wire.set_inject a (Some (fun raw -> [ raw; raw ]));
-  let sent = List.init 5 (fun i -> msg (string_of_int i)) in
-  List.iter (Wire.send a) sent;
-  let got = List.map (fun _ -> Wire.recv b ~timeout_s:2.0) sent in
-  Alcotest.(check bool) "duplicates suppressed" true (got = sent);
-  (* the last duplicate is still pending; drain it so every dup counts *)
-  (match Wire.try_recv b with
-  | Some _ -> Alcotest.fail "a duplicate was delivered"
-  | None -> ());
-  Alcotest.(check int) "every duplicate discarded" 5
-    (Wire.stats b).Wire.dup_discarded;
-  Wire.close a;
-  Wire.close b
+(* A frame as the wire writes it: [(f <checksum> <payload>)] *)
+let raw_frame ?(sum = Wire.checksum) m =
+  let payload = Csexp.to_string m in
+  Csexp.to_string
+    (Csexp.List
+       [ Csexp.Atom "f"; Csexp.Atom (Int64.to_string (sum payload));
+         Csexp.Atom payload ])
 
-let test_wire_corruption_recovers_by_resend () =
-  let a, b = Wire.pair () in
-  (* corrupt one payload byte of the first frame only; the receiver
-     nacks and the sender retransmits from its buffer *)
-  let corrupted = ref false in
-  Wire.set_inject a
-    (Some
-       (fun raw ->
-         if !corrupted then [ raw ]
-         else begin
-           corrupted := true;
-           let bytes = Bytes.of_string raw in
-           let i = String.length raw - 2 in
-           Bytes.set bytes i
-             (Char.chr (Char.code (Bytes.get bytes i) lxor 0x40));
-           [ Bytes.to_string bytes ]
-         end));
-  Wire.send a (msg "fragile");
-  (* the nack is only read when the sender receives; drive both sides *)
-  let rec pump tries =
-    if tries = 0 then Alcotest.fail "resend never recovered the frame"
-    else
-      match Wire.try_recv b with
-      | Some m -> m
-      | None ->
-          (match Wire.try_recv a with Some _ -> () | None -> ());
-          Unix.sleepf 0.01;
-          pump (tries - 1)
+let write_raw conn s =
+  ignore (Unix.write_substring (Wire.fd conn) s 0 (String.length s))
+
+let test_wire_corrupt_frame_fails_stop () =
+  (* the socket is reliable, so a broken frame means a broken peer:
+     recv raises Corrupt (the scheduler's cue to kill and steal) rather
+     than resynchronizing *)
+  let expect_corrupt what bytes =
+    let a, b = Wire.pair () in
+    Wire.send a (msg "before");
+    write_raw a bytes;
+    Alcotest.(check bool) (what ^ ": earlier frames still deliver") true
+      (Wire.recv b ~timeout_s:2.0 = msg "before");
+    (match Wire.recv b ~timeout_s:2.0 with
+    | _ -> Alcotest.fail (what ^ ": expected Corrupt")
+    | exception Wire.Corrupt _ -> ());
+    Wire.close a;
+    Wire.close b
   in
-  let got = pump 200 in
-  Alcotest.(check bool) "recovered payload" true (got = msg "fragile");
-  Alcotest.(check bool) "checksum failure recorded" true
-    ((Wire.stats b).Wire.checksum_failures >= 1);
-  Alcotest.(check bool) "sender resent" true ((Wire.stats a).Wire.resent >= 1);
-  Wire.close a;
-  Wire.close b
+  expect_corrupt "checksum mismatch"
+    (raw_frame ~sum:(fun p -> Int64.succ (Wire.checksum p)) (msg "fragile"));
+  let flipped = Bytes.of_string (raw_frame (msg "fragile")) in
+  let i = Bytes.length flipped - 3 in
+  Bytes.set flipped i (Char.chr (Char.code (Bytes.get flipped i) lxor 0x40));
+  expect_corrupt "flipped payload byte" (Bytes.to_string flipped);
+  expect_corrupt "unframed bytes" "garbage";
+  expect_corrupt "not a frame" (Csexp.to_string (msg "bare"))
 
 let test_wire_recv_deadline () =
   let a, b = Wire.pair () in
@@ -236,7 +219,7 @@ let test_proto_roundtrips () =
       Proto.Trial
         {
           cid = "c0000-0011223344";
-          record = Executor.trial_record string_of_int 3 (Executor.Done 99);
+          record = Ledger.trial_record string_of_int 3 (Executor.Done 99);
         };
       Proto.Batch_done { cid = "c0000-0011223344"; batch = 2; retries = 1 };
     ]
@@ -261,25 +244,25 @@ let test_proto_roundtrips () =
 (* --- shard journals ------------------------------------------------------ *)
 
 let header = Csexp.List [ Csexp.Atom "hdr"; Csexp.Atom "campaign-x" ]
-let rec_of i = Executor.trial_record string_of_int i (Executor.Done (i * i))
+let rec_of i = Ledger.trial_record string_of_int i (Executor.Done (i * i))
 
 let test_shard_torn_tails_heal_per_shard () =
   with_temp_dir (fun dir ->
-      let sh = Shard.create ~dir ~shards:3 ~header in
+      let paths = Shard.shard_paths ~dir ~shards:3 in
+      let sh = Shard.create paths ~header in
       for i = 0 to 29 do
         Shard.append sh ~shard:(i / 10) (rec_of i)
       done;
-      Shard.sync_all sh;
       Shard.close sh;
       (* tear the tail of shard 1 only *)
-      let path1 = List.nth (Shard.shard_paths ~dir ~shards:3) 1 in
+      let path1 = List.nth paths 1 in
       let size = (Unix.stat path1).Unix.st_size in
       let fd = Unix.openfile path1 [ Unix.O_WRONLY ] 0o644 in
       Unix.ftruncate fd (size - 3);
       Unix.close fd;
-      let sh, records = Shard.open_resume ~dir ~shards:3 ~header in
+      let sh, records = Shard.open_resume paths ~header in
       Shard.close sh;
-      let parsed = List.filter_map (Executor.parse_trial int_of_string_opt) records in
+      let parsed = List.filter_map (Ledger.parse_trial int_of_string_opt) records in
       let indices = List.map fst parsed |> List.sort compare in
       (* exactly one record (shard 1's torn last) was dropped *)
       Alcotest.(check int) "one record lost to the tear" 29 (List.length parsed);
@@ -294,32 +277,12 @@ let test_shard_torn_tails_heal_per_shard () =
 
 let test_shard_header_mismatch_refuses () =
   with_temp_dir (fun dir ->
-      let sh = Shard.create ~dir ~shards:2 ~header in
-      Shard.close sh;
+      let paths = Shard.shard_paths ~dir ~shards:2 in
+      Shard.close (Shard.create paths ~header);
       let other = Csexp.List [ Csexp.Atom "hdr"; Csexp.Atom "campaign-y" ] in
-      match Shard.open_resume ~dir ~shards:2 ~header:other with
+      match Shard.open_resume paths ~header:other with
       | _ -> Alcotest.fail "expected Header_mismatch"
       | exception Shard.Header_mismatch _ -> ())
-
-let test_shard_compaction_dedups () =
-  with_temp_dir (fun dir ->
-      let sh = Shard.create ~dir ~shards:1 ~header in
-      (* the same three trials re-journaled many times (stolen leases) *)
-      for _round = 0 to 9 do
-        for i = 0 to 2 do Shard.append sh ~shard:0 (rec_of i) done
-      done;
-      Shard.sync_all sh;
-      let key r =
-        match r with
-        | Csexp.List (Csexp.Atom "t" :: Csexp.Atom idx :: _) -> Some idx
-        | _ -> None
-      in
-      let before, after = Shard.compact sh ~key ~shard:0 in
-      Shard.close sh;
-      Alcotest.(check bool) "compaction shrank the shard" true (after < before);
-      let sh, records = Shard.open_resume ~dir ~shards:1 ~header in
-      Shard.close sh;
-      Alcotest.(check int) "three records survive" 3 (List.length records))
 
 (* --- the server engine --------------------------------------------------- *)
 
@@ -489,40 +452,20 @@ let test_server_poisons_unrunnable_campaign () =
 
 (* --- the multi-tenant scheduler ------------------------------------------ *)
 
-(* A typed tenant over a closure spec: preloaded into every forked
-   worker's image (closure kernels cannot travel on a wire), accepted
-   back into its own outcome array. *)
-let closure_tenant cid s =
-  let outcomes = Array.make s.Executor.total None in
-  let accept i r =
-    match Executor.parse_trial s.Executor.decode r with
-    | Some (j, o) when j = i ->
-        outcomes.(i) <- Some o;
-        true
-    | Some _ | None -> false
-  in
-  let job =
-    {
-      Sched.jb_id = cid;
-      jb_app = s.Executor.tag;
-      jb_total = s.Executor.total;
-      jb_header = Executor.header_record s;
-      jb_journal = None;
-      jb_resume = false;
-      jb_spec = None;
-      jb_accept = accept;
-      jb_should_stop = None;
-    }
-  in
-  (job, outcomes)
+(* A tenant's job over its typed ledger, without a journal.  Closure
+   specs ([jb_spec = None]) run only on workers forked with the
+   campaign preloaded (closure kernels cannot travel on a wire). *)
+let tenant_job ?jb_spec ~batch cid s =
+  let ledger = Ledger.create ~batch s in
+  ( { Sched.jb_id = cid; jb_app = s.Executor.tag; jb_spec;
+      jb_ledger = Ledger.erase ledger },
+    ledger )
 
 let reference_outcomes s =
   (Executor.run ~cfg:{ Executor.default_config with jobs = 1 } s)
     .Executor.outcomes
 
-let final_outcomes outcomes n =
-  Array.init n (fun i ->
-      match outcomes.(i) with Some o -> o | None -> Alcotest.fail "hole")
+let final_outcomes ledger = (Ledger.report ledger).Executor.outcomes
 
 let test_sched_multi_tenant_interleaving () =
   (* three campaigns interleaved on one pool of two workers, chaos
@@ -533,7 +476,9 @@ let test_sched_multi_tenant_interleaving () =
     [ ("ten-a", mk "ten-a:v1" 48); ("ten-b", mk "ten-b:v1" 40);
       ("ten-c", mk "ten-c:v1" 32) ]
   in
-  let tenants = List.map (fun (cid, s) -> (cid, s, closure_tenant cid s)) specs in
+  let tenants =
+    List.map (fun (cid, s) -> (cid, s, tenant_job ~batch:8 cid s)) specs
+  in
   let refs =
     List.map (fun (cid, s) -> (cid, reference_outcomes (spec ~total:s.Executor.total ~tag:s.Executor.tag pure_trial))) specs
   in
@@ -552,7 +497,6 @@ let test_sched_multi_tenant_interleaving () =
     {
       Sched.default_config with
       Sched.workers = 2;
-      batch = 8;
       chaos_kills = [ 15; 60 ];
       heartbeat_s = 10.0;
       max_active = 2;
@@ -583,15 +527,14 @@ let test_sched_multi_tenant_interleaving () =
   Alcotest.(check int) "three tenants admitted" 3
     (counter "server/tenants-admitted");
   List.iter
-    (fun (cid, s, (_, outcomes)) ->
+    (fun (cid, s, (_, ledger)) ->
       (match Hashtbl.find_opt finished cid with
-      | Some (Sched.Finished { completed; _ }) ->
-          Alcotest.(check int) (cid ^ " completed") s.Executor.total completed
+      | Some Sched.Finished ->
+          Alcotest.(check int) (cid ^ " completed") s.Executor.total
+            (Ledger.report ledger).Executor.completed
       | _ -> Alcotest.fail (cid ^ " did not finish"));
       Alcotest.(check bool) (cid ^ " byte-identical to --jobs 1") true
-        (outcomes_equal
-           (List.assoc cid refs)
-           (final_outcomes outcomes s.Executor.total)))
+        (outcomes_equal (List.assoc cid refs) (final_outcomes ledger)))
     tenants;
   List.iter
     (fun (st : Sched.tenant_stats) ->
@@ -607,8 +550,8 @@ let test_sched_poison_isolation () =
   let sick = spec ~total:8 ~tag:"sick:v1" sick_trial in
   let well = spec ~total:32 ~tag:"well:v1" (fun i -> Unix.sleepf 0.002; pure_trial i) in
   let well_ref = reference_outcomes (spec ~total:32 ~tag:"well:v1" pure_trial) in
-  let sick_job, _ = closure_tenant "sick" sick in
-  let well_job, well_out = closure_tenant "well" well in
+  let sick_job, _ = tenant_job ~batch:4 "sick" sick in
+  let well_job, well_ledger = tenant_job ~batch:4 "well" well in
   let preload =
     [ ("sick", fun retry -> Worker.runner_of_exec_spec ~retry sick);
       ("well", fun retry -> Worker.runner_of_exec_spec ~retry well) ]
@@ -622,7 +565,6 @@ let test_sched_poison_isolation () =
     {
       Sched.default_config with
       Sched.workers = 2;
-      batch = 4;
       heartbeat_s = 0.3;
       max_lease_attempts = 1;
       max_active = 2;
@@ -644,11 +586,12 @@ let test_sched_poison_isolation () =
         (Infra.kind cause)
   | _ -> Alcotest.fail "sick tenant was not poisoned");
   (match Hashtbl.find_opt finished "well" with
-  | Some (Sched.Finished { completed; _ }) ->
-      Alcotest.(check int) "well tenant unharmed" 32 completed
+  | Some Sched.Finished ->
+      Alcotest.(check int) "well tenant unharmed" 32
+        (Ledger.report well_ledger).Executor.completed
   | _ -> Alcotest.fail "well tenant did not finish");
   Alcotest.(check bool) "well tenant byte-identical to --jobs 1" true
-    (outcomes_equal well_ref (final_outcomes well_out 32));
+    (outcomes_equal well_ref (final_outcomes well_ledger));
   let states =
     List.map (fun (s : Sched.tenant_stats) -> (s.Sched.ts_id, s.Sched.ts_state))
       (Sched.stats eng)
@@ -672,26 +615,8 @@ let test_sched_remote_worker_vanishes () =
         | Error e -> Alcotest.fail e
       in
       let reference = reference_outcomes ex_spec in
-      let outcomes = Array.make ex_spec.Executor.total None in
-      let accept i r =
-        match Executor.parse_trial ex_spec.Executor.decode r with
-        | Some (j, o) when j = i ->
-            outcomes.(i) <- Some o;
-            true
-        | Some _ | None -> false
-      in
-      let job =
-        {
-          Sched.jb_id = "remote-job";
-          jb_app = "IS";
-          jb_total = ex_spec.Executor.total;
-          jb_header = Executor.header_record ex_spec;
-          jb_journal = None;
-          jb_resume = false;
-          jb_spec = Some cspec;
-          jb_accept = accept;
-          jb_should_stop = None;
-        }
+      let job, ledger =
+        tenant_job ~jb_spec:cspec ~batch:8 "remote-job" ex_spec
       in
       let finished : (string, Sched.event) Hashtbl.t = Hashtbl.create 4 in
       let on_event id = function
@@ -703,7 +628,6 @@ let test_sched_remote_worker_vanishes () =
         {
           Sched.default_config with
           Sched.workers = 0;
-          batch = 8;
           chaos_kills = [ 10 ];
           heartbeat_s = 10.0;
           metrics = Some obs;
@@ -737,11 +661,221 @@ let test_sched_remote_worker_vanishes () =
       Alcotest.(check bool) "its lease was stolen" true
         (counter "server/leases-stolen" >= 1);
       (match Hashtbl.find_opt finished "remote-job" with
-      | Some (Sched.Finished { completed; _ }) ->
-          Alcotest.(check int) "all trials ran" ex_spec.Executor.total completed
+      | Some Sched.Finished ->
+          Alcotest.(check int) "all trials ran" ex_spec.Executor.total
+            (Ledger.report ledger).Executor.completed
       | _ -> Alcotest.fail "campaign did not finish");
       Alcotest.(check bool) "byte-identical to --jobs 1" true
-        (outcomes_equal reference (final_outcomes outcomes ex_spec.Executor.total)))
+        (outcomes_equal reference (final_outcomes ledger)))
+
+(* --- one duplicate rule, both journal layouts ------------------------------ *)
+
+(* Journal bytes written by hand in the on-disk format (not through
+   [Ledger]): a header [(magic version tag total)], then one
+   [(t idx ok payload)] record per line. *)
+let hand_journal ~tag ~total (trials : (int * string) list) : string =
+  let atom a = Printf.sprintf "%d:%s" (String.length a) a in
+  let list xs = "(" ^ String.concat "" xs ^ ")\n" in
+  list
+    [ atom "fliptracker-journal"; atom "1"; atom tag; atom (string_of_int total) ]
+  ^ String.concat ""
+      (List.map
+         (fun (i, payload) ->
+           list [ atom "t"; atom (string_of_int i); atom "ok"; atom payload ])
+         trials)
+
+let write_file path contents =
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc
+
+let test_ledger_duplicate_rule_both_layouts () =
+  with_temp_dir (fun dir ->
+      (* the same index twice: resume keeps the first record, through
+         the executor's single file and the server's one-shard dir *)
+      let s =
+        {
+          Executor.tag = "dup-rule:v1";
+          total = 8;
+          run_trial = (fun i -> "fresh" ^ string_of_int i);
+          encode = Fun.id;
+          decode = Option.some;
+          should_stop = None;
+        }
+      in
+      let dup = hand_journal ~tag:"dup-rule:v1" ~total:8 [ (0, "A"); (0, "B") ] in
+      let file = Filename.concat dir "dup.journal" in
+      write_file file dup;
+      let ex =
+        Executor.run
+          ~cfg:
+            { Executor.default_config with batch = 4; journal = Some file;
+              resume = true }
+          s
+      in
+      let sdir = Filename.concat dir "dup-shards" in
+      Unix.mkdir sdir 0o755;
+      write_file (List.hd (Shard.shard_paths ~dir:sdir ~shards:1)) dup;
+      let sv =
+        Server.run
+          ~cfg:
+            { Server.default_config with Server.workers = 1; batch = 4;
+              shards = 1; journal_dir = Some sdir; resume = true;
+              heartbeat_s = 10.0 }
+          s
+      in
+      List.iter
+        (fun (what, (r : string Executor.report)) ->
+          Alcotest.(check bool) (what ^ ": first record wins") true
+            (r.Executor.outcomes.(0) = Executor.Done "A");
+          Alcotest.(check int) (what ^ ": one trial resumed") 1
+            r.Executor.resumed;
+          Alcotest.(check int) (what ^ ": campaign completed") 8
+            r.Executor.completed)
+        [ ("executor", ex); ("server", sv) ];
+      (* a journal of each layout in the existing on-disk format,
+         killed mid-campaign, resumes to counts identical to a fresh
+         run *)
+      match Server.plan_of_app "IS" with
+      | Error e -> Alcotest.fail e
+      | Ok plan ->
+          let ccfg =
+            { Campaign.default_config with Campaign.max_trials = Some 24 }
+          in
+          let spec = Server.campaign_spec plan ccfg in
+          let fresh =
+            Executor.run ~cfg:{ Executor.default_config with batch = 8 } spec
+          in
+          let bytes (r : Campaign.outcome_class Executor.report) =
+            Csexp.to_string
+              (Campaign.counts_to_csexp
+                 (Campaign.counts_of_outcomes r.Executor.outcomes))
+          in
+          let journaled lo hi =
+            List.init (hi - lo) (fun k ->
+                match fresh.Executor.outcomes.(lo + k) with
+                | Executor.Done o -> (lo + k, spec.Executor.encode o)
+                | Executor.Infra_error _ -> Alcotest.fail "infra error")
+          in
+          let tag = spec.Executor.tag and total = spec.Executor.total in
+          let file = Filename.concat dir "is.journal" in
+          write_file file (hand_journal ~tag ~total (journaled 0 12));
+          let ex =
+            Executor.run
+              ~cfg:
+                { Executor.default_config with batch = 8; journal = Some file;
+                  resume = true }
+              spec
+          in
+          let sdir = Filename.concat dir "is-shards" in
+          Unix.mkdir sdir 0o755;
+          (match Shard.shard_paths ~dir:sdir ~shards:2 with
+          | [ s0; s1 ] ->
+              write_file s0 (hand_journal ~tag ~total (journaled 0 8));
+              write_file s1 (hand_journal ~tag ~total (journaled 8 12))
+          | _ -> assert false);
+          let sv =
+            Server.run
+              ~cfg:
+                { Server.default_config with Server.workers = 2; batch = 8;
+                  shards = 2; journal_dir = Some sdir; resume = true;
+                  heartbeat_s = 10.0 }
+              spec
+          in
+          List.iter
+            (fun (what, r) ->
+              Alcotest.(check int) (what ^ ": journaled trials resumed") 12
+                r.Executor.resumed;
+              Alcotest.(check string) (what ^ ": counts identical to fresh")
+                (bytes fresh) (bytes r))
+            [ ("executor", ex); ("server", sv) ])
+
+(* --- fail-stop: a corrupt frame costs the worker, never the counts ------- *)
+
+(* A forked worker that waits for its first lease, then writes a
+   hand-corrupted frame on its raw socket and hangs. *)
+let spawn_corrupting ~close_fds =
+  flush stdout;
+  flush stderr;
+  let server_end, worker_end = Wire.pair () in
+  match Unix.fork () with
+  | 0 ->
+      Wire.close server_end;
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        close_fds;
+      let rec await () =
+        match Proto.to_worker_of_csexp (Wire.recv worker_end ~timeout_s:30.0) with
+        | Ok (Proto.Lease _) -> ()
+        | _ -> await ()
+      in
+      (try await () with _ -> Unix._exit 1);
+      let frame =
+        Bytes.of_string
+          (raw_frame (Proto.from_worker_to_csexp (Proto.Ready { pid = 0 })))
+      in
+      let i = Bytes.length frame - 3 in
+      Bytes.set frame i (Char.chr (Char.code (Bytes.get frame i) lxor 0x40));
+      write_raw worker_end (Bytes.to_string frame);
+      Unix.sleepf 60.0;
+      Unix._exit 0
+  | pid ->
+      Wire.close worker_end;
+      (pid, server_end)
+
+let test_sched_corrupt_frame_fails_stop () =
+  with_temp_dir (fun dir ->
+      let cache_dir = Filename.concat dir "cache" in
+      let cspec =
+        { Campaign.default_spec with Campaign.sp_app = "IS"; sp_trials = Some 32 }
+      in
+      let ex_spec =
+        match Plan.spec_of_submission ~cache_dir cspec with
+        | Ok s -> s
+        | Error e -> Alcotest.fail e
+      in
+      let reference =
+        Campaign.counts_of_outcomes (reference_outcomes ex_spec)
+      in
+      let job, ledger = tenant_job ~jb_spec:cspec ~batch:8 "corrupt" ex_spec in
+      let spawned = ref 0 in
+      let spawn ~close_fds =
+        incr spawned;
+        if !spawned = 1 then spawn_corrupting ~close_fds
+        else
+          Worker.spawn ~close_fds ~load:(Worker.plan_loader ~cache_dir)
+            ~retry:Executor.default_config ()
+      in
+      let finished = ref None in
+      let on_event _ = function
+        | Sched.Progress _ -> ()
+        | e -> finished := Some e
+      in
+      let obs = Obs.create () in
+      let cfg =
+        { Sched.default_config with Sched.workers = 2; heartbeat_s = 10.0;
+          metrics = Some obs }
+      in
+      let eng = Sched.create ~cfg ~spawn ~on_event () in
+      (match Sched.submit eng job with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      Sched.drain eng;
+      Sched.shutdown_workers eng;
+      let counter n = Option.value ~default:0 (Obs.counter_value obs n) in
+      Alcotest.(check int) "the corrupting worker went down on a wire fault"
+        1 (counter "server/wire-faults");
+      Alcotest.(check int) "its lease was stolen" 1
+        (counter "server/leases-stolen");
+      Alcotest.(check bool) "a replacement was forked" true (!spawned >= 3);
+      (match !finished with
+      | Some Sched.Finished -> ()
+      | _ -> Alcotest.fail "campaign did not finish");
+      Alcotest.(check string) "counts byte-identical to --jobs 1"
+        (Csexp.to_string (Campaign.counts_to_csexp reference))
+        (Csexp.to_string
+           (Campaign.counts_to_csexp
+              (Campaign.counts_of_outcomes (final_outcomes ledger)))))
 
 (* --- the acceptance gate: a real campaign under worker SIGKILL ----------- *)
 
@@ -995,9 +1129,8 @@ let suite =
   ( "server",
     [
       Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
-      Alcotest.test_case "wire dup suppression" `Quick test_wire_dup_suppression;
-      Alcotest.test_case "wire corruption resend" `Quick
-        test_wire_corruption_recovers_by_resend;
+      Alcotest.test_case "wire corrupt frame fails stop" `Quick
+        test_wire_corrupt_frame_fails_stop;
       Alcotest.test_case "wire recv deadline" `Quick test_wire_recv_deadline;
       Alcotest.test_case "wire closed peer" `Quick test_wire_closed_peer;
       Alcotest.test_case "cache roundtrip + corruption" `Quick
@@ -1008,8 +1141,6 @@ let suite =
         test_shard_torn_tails_heal_per_shard;
       Alcotest.test_case "shard header mismatch refuses" `Quick
         test_shard_header_mismatch_refuses;
-      Alcotest.test_case "shard compaction dedups" `Quick
-        test_shard_compaction_dedups;
       Alcotest.test_case "server matches executor" `Quick
         test_server_matches_executor;
       Alcotest.test_case "chaos kills preserve outcomes" `Quick
@@ -1026,6 +1157,10 @@ let suite =
         test_sched_poison_isolation;
       Alcotest.test_case "vanished remote worker degrades gracefully" `Slow
         test_sched_remote_worker_vanishes;
+      Alcotest.test_case "ledger keeps the first duplicate in both layouts"
+        `Quick test_ledger_duplicate_rule_both_layouts;
+      Alcotest.test_case "corrupt frame: worker down, lease stolen" `Slow
+        test_sched_corrupt_frame_fails_stop;
       Alcotest.test_case "chaos campaign counts byte-identical" `Slow
         test_chaos_campaign_counts_byte_identical;
       Alcotest.test_case "early stop matches the executor" `Quick
