@@ -1,6 +1,8 @@
 (* FlipTracker benchmark harness.
 
-   Regenerates every table and figure of the paper's evaluation:
+   Regenerates every table and figure of the paper's evaluation, and
+   the framework's own use-case tables (ablate, trace-codec,
+   harden-overhead, recovery-overhead, arch-structures):
 
      fig4  LLVM parallel tracing overhead        (Section V-B)
      fig5  per-code-region success rates         (Section V-C)
@@ -10,8 +12,6 @@
      tab2  repeated additions vs error magnitude (Section VI)
      tab3  Use Case 1: hardened CG               (Section VII-A)
      tab4  Use Case 2: resilience prediction     (Section VII-B)
-     perf  bechamel micro-benchmarks of the framework itself
-     campaign-scale  resilient executor throughput at 1/2/4/8 workers
 
    Usage: main.exe [--effort quick|default|paper | --quick | --paper]
                    [--jobs N] [experiment ...]
@@ -31,6 +31,12 @@ let header title =
   hr ()
 
 let rate = Campaign.success_rate
+
+(* [f ()] and its wall-clock seconds *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
 
 (* --- Figure 4 ---------------------------------------------------------- *)
 
@@ -233,275 +239,6 @@ let ablate _effort =
     "  (taint overstates the error footprint by counting corrupted-but-dead \
      locations; liveness tracking is what lets the ACL series fall)"
 
-(* --- campaign-scale ------------------------------------------------------ *)
-
-let json_out = ref (Some "BENCH_optimize.json")
-
-(* one throughput sweep over the jobs axis; returns (jobs, trials, wall,
-   trials/sec) rows and warns if the counts ever diverge from --jobs 1 *)
-let scale_rows ?(backend = Backend.default) ?(reps = 1) (app : App.t)
-    jobs_list cfg =
-  let clean, trace = App.trace app in
-  let prog = App.program app in
-  let target = Campaign.whole_program_target prog trace in
-  let base_counts = ref None in
-  List.map
-    (fun jobs ->
-      (* best-of-[reps] wall time, with the heap settled before each
-         repetition: a single short campaign is at the mercy of GC debt
-         left by whatever ran before it *)
-      let r =
-        List.fold_left
-          (fun best _ ->
-            Gc.full_major ();
-            let r =
-              Campaign.run_report prog ~verify:(App.verify app)
-                ~clean_instructions:clean.Machine.instructions ~cfg
-                ~exec:{ Campaign.default_exec with jobs; backend }
-                target
-            in
-            match best with
-            | Some b when b.Campaign.wall_s <= r.Campaign.wall_s -> Some b
-            | _ -> Some r)
-          None
-          (List.init reps Fun.id)
-        |> Option.get
-      in
-      let c = r.Campaign.counts in
-      (match !base_counts with
-      | None -> base_counts := Some c
-      | Some b ->
-          if b <> c then
-            Printf.printf
-              "  WARNING: counts diverged from --jobs 1 (determinism bug)\n");
-      let wall = r.Campaign.wall_s in
-      let tps = Float.of_int c.Campaign.trials /. Float.max 1e-9 wall in
-      (jobs, c.Campaign.trials, wall, tps))
-    jobs_list
-
-let campaign_scale (effort : Effort.t) =
-  header "campaign-scale: resilient campaign executor, trials/sec vs workers";
-  let app = Is.app in
-  let cfg =
-    (* a fixed trial count, so the jobs axis is the only variable *)
-    { effort.Effort.campaign with Campaign.max_trials = Some 240 }
-  in
-  Printf.printf
-    "recommended domain count on this machine: %d (speedup is bounded by \
-     the physical cores available)\n"
-    (Domain.recommended_domain_count ());
-  let jobs_list = [ 1; 2; 4; 8 ] in
-  Printf.printf "%-10s %-6s %10s %12s %10s %8s\n" "app" "jobs" "trials"
-    "wall(s)" "trials/s" "speedup";
-  let print_rows name rows =
-    let baseline = ref None in
-    List.iter
-      (fun (jobs, trials, wall, tps) ->
-        let speedup =
-          match !baseline with
-          | None ->
-              baseline := Some wall;
-              1.0
-          | Some b -> b /. wall
-        in
-        Printf.printf "%-10s %-6d %10d %12.3f %10.1f %7.2fx\n" name jobs
-          trials wall tps speedup)
-      rows
-  in
-  let base_rows = scale_rows app jobs_list cfg in
-  print_rows app.App.name base_rows;
-  (* the same sweep with the analysis-gated optimizer pipeline applied:
-     the trials/sec ratio at equal jobs is the optimizer's campaign
-     throughput win *)
-  let opt_app = Opt.app_variant app in
-  let opt_rows = scale_rows opt_app jobs_list cfg in
-  print_rows opt_app.App.name opt_rows;
-  let ratios =
-    List.map2
-      (fun (jobs, _, _, tb) (_, _, _, topt) -> (jobs, topt /. Float.max 1e-9 tb))
-      base_rows opt_rows
-  in
-  List.iter
-    (fun (jobs, r) ->
-      Printf.printf "optimizer throughput at --jobs %d: %.2fx trials/sec\n"
-        jobs r)
-    ratios;
-  print_endline
-    "(counts are bit-identical across the jobs axis: per-trial RNG streams \
-     are derived from the trial index, never from scheduling)";
-  (* backend axis: the tracing interpreter vs the closure-compiled
-     backend at equal jobs — counts are bit-identical by construction
-     (pinned by the test suite), so trials/sec is the whole story *)
-  print_newline ();
-  Printf.printf "%-14s %-9s %-6s %10s %12s %10s %14s\n" "app" "backend" "jobs"
-    "trials" "wall(s)" "trials/s" "speedup(c/i)";
-  let backend_jobs = [ 1; 4 ] in
-  let backend_speedups =
-    List.concat_map
-      (fun bapp ->
-        let sweep b = scale_rows ~backend:b ~reps:3 bapp backend_jobs cfg in
-        let interp_rows = sweep Backend.Interp in
-        let compiled_rows = sweep Backend.Compiled in
-        let print_b bname rows =
-          List.iter
-            (fun (jobs, trials, wall, tps) ->
-              Printf.printf "%-14s %-9s %-6d %10d %12.3f %10.1f %14s\n"
-                bapp.App.name bname jobs trials wall tps "")
-            rows
-        in
-        print_b "interp" interp_rows;
-        print_b "compiled" compiled_rows;
-        List.map2
-          (fun (jobs, _, _, ti) (_, _, _, tc) ->
-            let s = tc /. Float.max 1e-9 ti in
-            Printf.printf "%-14s %-9s %-6d %10s %12s %10s %13.2fx\n"
-              bapp.App.name "both" jobs "" "" "" s;
-            (bapp.App.name, jobs, ti, tc, s))
-          interp_rows compiled_rows)
-      [ app; Opt.app_variant app ]
-  in
-  let min_speedup =
-    List.fold_left (fun a (_, _, _, _, s) -> Float.min a s) infinity
-      backend_speedups
-  in
-  Printf.printf
-    "compiled-backend speedup over the non-tracing interpreter: min %.2fx\n"
-    min_speedup;
-  (match !json_out with
-  | None -> ()
-  | Some _ ->
-      let path = "BENCH_compile.json" in
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\n\
-        \  \"bench\": \"campaign-scale/backend\",\n\
-        \  \"rows\": [\n\
-         %s\n\
-        \  ],\n\
-        \  \"min_speedup\": %.2f\n\
-         }\n"
-        (String.concat ",\n"
-           (List.map
-              (fun (name, jobs, ti, tc, s) ->
-                Printf.sprintf
-                  "    {\"app\": %S, \"jobs\": %d, \"interp_trials_per_sec\": \
-                   %.1f, \"compiled_trials_per_sec\": %.1f, \"speedup\": \
-                   %.2f}"
-                  name jobs ti tc s)
-              backend_speedups))
-        min_speedup;
-      close_out oc;
-      Printf.printf "wrote %s\n" path);
-  match !json_out with
-  | None -> ()
-  | Some path ->
-      let row_json name (jobs, trials, wall, tps) =
-        Printf.sprintf
-          "    {\"app\": %S, \"jobs\": %d, \"trials\": %d, \"wall_s\": %.3f, \
-           \"trials_per_sec\": %.1f}"
-          name jobs trials wall tps
-      in
-      let min_ratio =
-        List.fold_left (fun a (_, r) -> Float.min a r) infinity ratios
-      in
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\n\
-        \  \"bench\": \"campaign-scale\",\n\
-        \  \"app\": %S,\n\
-        \  \"optimizer\": \"%s\",\n\
-        \  \"rows\": [\n\
-         %s\n\
-        \  ],\n\
-        \  \"throughput_ratio_per_jobs\": {%s},\n\
-        \  \"min_throughput_ratio\": %.2f\n\
-         }\n"
-        app.App.name
-        (String.concat "; "
-           (List.map (fun (p : Opt.pass) -> p.Opt.name) Opt.all))
-        (String.concat ",\n"
-           (List.map (row_json app.App.name) base_rows
-           @ List.map (row_json opt_app.App.name) opt_rows))
-        (String.concat ", "
-           (List.map
-              (fun (jobs, r) -> Printf.sprintf "\"%d\": %.2f" jobs r)
-              ratios))
-        min_ratio;
-      close_out oc;
-      Printf.printf "wrote %s\n" path
-
-(* --- bechamel perf suite ------------------------------------------------ *)
-
-let perf _effort =
-  header "perf: framework micro-benchmarks (bechamel)";
-  let open Bechamel in
-  let cg_prog = App.program Cg.app in
-  let _, cg_trace = App.trace Cg.app in
-  let is_prog = App.program Is.app in
-  let cg_access = Access.build cg_trace in
-  let cg_inst = List.hd (Region.instances cg_trace) in
-  let _, mg_clean = App.trace Mg.app in
-  let mg_fault = Machine.Flip_write { seq = 100_000; bit = 40 } in
-  let _, mg_faulty = App.trace_with_fault Mg.app mg_fault ~budget:10_000_000 in
-  let reg_rng = Rng.create ~seed:1 in
-  let reg_x =
-    Array.init 64 (fun _ -> Array.init 6 (fun _ -> Rng.float reg_rng))
-  in
-  let reg_y =
-    Array.map (fun row -> Linalg.dot row [| 1.; 2.; 3.; 4.; 5.; 6. |]) reg_x
-  in
-  let tests =
-    [
-      Test.make ~name:"vm-run-IS"
-        (Staged.stage (fun () -> ignore (Machine.run_plain is_prog)));
-      Test.make ~name:"vm-run-CG"
-        (Staged.stage (fun () -> ignore (Machine.run_plain cg_prog)));
-      Test.make ~name:"tracer-run-IS"
-        (Staged.stage (fun () ->
-             let t = Trace.create () in
-             ignore
-               (Machine.run is_prog
-                  { Machine.default_config with trace = Some t })));
-      Test.make ~name:"access-index-CG"
-        (Staged.stage (fun () -> ignore (Access.build cg_trace)));
-      Test.make ~name:"dddg-region-CG"
-        (Staged.stage (fun () ->
-             ignore
-               (Dddg.build cg_trace cg_access ~lo:cg_inst.Region.lo
-                  ~hi:cg_inst.Region.hi)));
-      Test.make ~name:"acl-analysis-MG"
-        (Staged.stage (fun () ->
-             ignore
-               (Acl.analyze ~fault:mg_fault ~clean:mg_clean ~faulty:mg_faulty
-                  ())));
-      Test.make ~name:"pattern-rates-CG"
-        (Staged.stage (fun () -> ignore (Rates.compute cg_trace cg_access)));
-      Test.make ~name:"regression-fit"
-        (Staged.stage (fun () -> ignore (Regression.fit reg_x reg_y)));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.5) () in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let raw =
-    Benchmark.all cfg [ instance ]
-      (Test.make_grouped ~name:"fliptracker" tests)
-  in
-  let results = Analyze.all ols instance raw in
-  let rows =
-    Hashtbl.fold (fun name est acc -> (name, est) :: acc) results []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  List.iter
-    (fun (name, est) ->
-      match Analyze.OLS.estimates est with
-      | Some (t :: _) ->
-          Printf.printf "%-36s %14.1f ns/run (%9.3f ms)\n" name t (t /. 1e6)
-      | Some [] | None -> Printf.printf "%-36s (no estimate)\n" name)
-    rows
-
 (* --- trace-codec -------------------------------------------------------- *)
 
 (* Text-vs-binary codec comparison with a hard round-trip gate: both
@@ -541,17 +278,12 @@ let trace_codec effort =
       let _, trace = App.trace app in
       let n = Trace.length trace in
       let path = Filename.temp_file "ft_codec" ".trace" in
-      let timed f =
-        let t0 = Unix.gettimeofday () in
-        let r = f () in
-        (Unix.gettimeofday () -. t0, r)
-      in
       let save fmt =
-        let dt, () = timed (fun () -> Trace_io.save ~format:fmt path trace) in
+        let (), dt = timed (fun () -> Trace_io.save ~format:fmt path trace) in
         (dt, (Unix.stat path).Unix.st_size)
       in
       let check label =
-        let dt, back = timed (fun () -> Trace_io.load path) in
+        let back, dt = timed (fun () -> Trace_io.load path) in
         let ok = ref (Trace.length back = n) in
         if !ok then
           Trace.iteri
@@ -563,9 +295,8 @@ let trace_codec effort =
         end;
         dt
       in
-      let text_s, text_bytes = save Trace_io.Text in
+      let _, text_bytes = save Trace_io.Text in
       ignore (check "text");
-      ignore text_s;
       let bin_s, bin_bytes = save Trace_io.Binary in
       let dec_s = check "binary" in
       Sys.remove path;
@@ -615,13 +346,8 @@ let harden_overhead (effort : Effort.t) =
     (fun (app : App.t) ->
       let base = App.program app in
       let hard = Harden.transform Passes.all base in
-      let time prog =
-        let t0 = Unix.gettimeofday () in
-        let r = Machine.run_plain prog in
-        (r, Unix.gettimeofday () -. t0)
-      in
-      let rb, tb = time base in
-      let rh, th = time hard in
+      let rb, tb = timed (fun () -> Machine.run_plain base) in
+      let rh, th = timed (fun () -> Machine.run_plain hard) in
       assert (App.verified rh.Machine.output);
       Printf.printf "%-8s %9d %9d %6.2fx %10d %10d %6.2fx %8.2fx\n"
         app.App.name (Prog.static_size base) (Prog.static_size hard)
@@ -649,11 +375,7 @@ let recovery_overhead _effort =
   List.iter
     (fun (app : App.t) ->
       let prog = App.program app in
-      let time cfg =
-        let t0 = Unix.gettimeofday () in
-        let r = Machine.run prog cfg in
-        (r, Unix.gettimeofday () -. t0)
-      in
+      let time cfg = timed (fun () -> Machine.run prog cfg) in
       let rp, tp = time Machine.default_config in
       let ra, ta =
         time
@@ -674,89 +396,6 @@ let recovery_overhead _effort =
     "(fault-free armed runs take zero restores and print byte-identical \
      output; the overhead is the bounded-interval snapshot copies)"
 
-(* --- server-scale -------------------------------------------------------- *)
-
-(* The campaign server against the in-process executor: forked-worker
-   throughput, the overhead of journaling every trial, and the cost of
-   surviving SIGKILLed workers — with every row required to produce
-   counts byte-identical to the --jobs 1 reference. *)
-let server_scale (effort : Effort.t) =
-  header "server-scale: forked campaign server, trials/sec vs workers";
-  let trials =
-    min 192
-      (Option.value ~default:192 effort.Effort.campaign.Campaign.max_trials * 4)
-  in
-  let ccfg =
-    { effort.Effort.campaign with Campaign.max_trials = Some trials }
-  in
-  match Server.plan_of_app "IS" with
-  | Error e ->
-      Printf.printf "server-scale: cannot bake IS: %s\n" e;
-      exit 1
-  | Ok plan ->
-      let s = Server.campaign_spec plan ccfg in
-      let t0 = Unix.gettimeofday () in
-      let reference =
-        Executor.run ~cfg:{ Executor.default_config with jobs = 1 } s
-      in
-      let ref_wall = Unix.gettimeofday () -. t0 in
-      let ref_counts =
-        Csexp.to_string
-          (Campaign.counts_to_csexp
-             (Campaign.counts_of_outcomes reference.Executor.outcomes))
-      in
-      Printf.printf "%-22s %-8s %10s %12s %10s %8s %6s\n" "configuration"
-        "workers" "trials" "wall(s)" "trials/s" "speedup" "ident";
-      let row name workers wall counts =
-        Printf.printf "%-22s %-8d %10d %12.3f %10.1f %7.2fx %6s\n" name
-          workers trials wall
-          (float_of_int trials /. Float.max 1e-9 wall)
-          (ref_wall /. Float.max 1e-9 wall)
-          (if String.equal counts ref_counts then "yes" else "NO")
-      in
-      row "executor --jobs 1" 1 ref_wall ref_counts;
-      let server_row name workers chaos journal =
-        let dir =
-          if not journal then None
-          else begin
-            let d =
-              Filename.concat
-                (Filename.get_temp_dir_name ())
-                (Printf.sprintf "ft-bench-server-%d-%s" (Unix.getpid ()) name)
-            in
-            Some d
-          end
-        in
-        let cfg =
-          {
-            Server.default_config with
-            Server.workers;
-            batch = 16;
-            journal_dir = dir;
-            chaos_kills = chaos;
-            heartbeat_s = 30.0;
-          }
-        in
-        let t0 = Unix.gettimeofday () in
-        let counts, _ = Server.run_campaign ~cfg plan ccfg in
-        let wall = Unix.gettimeofday () -. t0 in
-        row name workers wall
-          (Csexp.to_string (Campaign.counts_to_csexp counts));
-        Option.iter
-          (fun d ->
-            ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote d))))
-          dir
-      in
-      server_row "server" 1 [] false;
-      server_row "server" 2 [] false;
-      server_row "server" 4 [] false;
-      server_row "server+journal" 4 [] true;
-      server_row "server+chaos" 2 [ trials / 4; trials / 2 ] false;
-      print_endline
-        "(ident = counts byte-identical to the --jobs 1 reference; the \
-         chaos row SIGKILLs two workers mid-campaign and must still say \
-         yes)"
-
 (* --- arch-structures ------------------------------------------------------ *)
 
 (* One program injected through every microarchitectural surface: the
@@ -770,9 +409,9 @@ let arch_structures (effort : Effort.t) =
     min 120 (Option.value ~default:120 effort.Effort.campaign.Campaign.max_trials)
   in
   let app = Is.app in
-  let t0 = Unix.gettimeofday () in
-  let r = Arch_eval.evaluate ~trials ~jobs:effort.Effort.jobs app in
-  let wall = Unix.gettimeofday () -. t0 in
+  let r, wall =
+    timed (fun () -> Arch_eval.evaluate ~trials ~jobs:effort.Effort.jobs app)
+  in
   Printf.printf "%-11s %12s %6s %6s %6s %6s  %8s %8s\n" "structure"
     "population" "trials" "benign" "SDC" "crash" "SDCrate" "crashrt";
   List.iter
@@ -797,9 +436,9 @@ let all_experiments =
   [
     ("fig4", fig4); ("fig5", fig5); ("fig6", fig6); ("fig7", fig7);
     ("tab1", tab1); ("tab2", tab2); ("tab3", tab3); ("tab4", tab4);
-    ("ablate", ablate); ("perf", perf); ("campaign-scale", campaign_scale);
-    ("trace-codec", trace_codec); ("harden-overhead", harden_overhead);
-    ("recovery-overhead", recovery_overhead); ("server-scale", server_scale);
+    ("ablate", ablate); ("trace-codec", trace_codec);
+    ("harden-overhead", harden_overhead);
+    ("recovery-overhead", recovery_overhead);
     ("arch-structures", arch_structures);
   ]
 
@@ -823,12 +462,6 @@ let () =
         | Some _ | None ->
             Printf.eprintf "--jobs needs a positive integer, got %S\n" n;
             exit 2);
-        parse rest
-    | "--json" :: path :: rest ->
-        json_out := Some path;
-        parse rest
-    | "--no-json" :: rest ->
-        json_out := None;
         parse rest
     | name :: rest ->
         (match List.assoc_opt name all_experiments with

@@ -1,6 +1,7 @@
 (* Scratch driver kept for interactive exploration during development;
    the real entry points are bin/fliptracker_cli.exe, bench/main.exe
-   and the examples.  With no arguments, prints a pipeline sanity line.
+   and the examples.  With no arguments, prints a pipeline sanity line;
+   an unknown subcommand prints usage and exits 2.
 
    [ft_dev lint-all] runs the static verifier and the vulnerability
    ranking over the whole registry (the ten study programs plus the
@@ -169,7 +170,7 @@ let opt_report name =
 
 let trial_cost name =
   (* where campaign wall time goes: total instructions interpreted across
-     the same 240-trial design the campaign-scale bench runs *)
+     the first 240 trials of the seed-42 whole-program design *)
   let app =
     match String.index_opt name '@' with
     | None -> Registry.find name
@@ -223,6 +224,10 @@ let profile name =
 (* --- journal inspect / verify ------------------------------------------- *)
 
 let journal_files (path : string) : string list =
+  if not (Sys.file_exists path) then begin
+    Printf.eprintf "journal: no such file or directory: %s\n" path;
+    exit 2
+  end;
   if Sys.is_directory path then
     Sys.readdir path |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".journal")
@@ -236,61 +241,54 @@ let journal_files (path : string) : string list =
    torn tail, and no trial index recorded twice: every writer keeps
    the first record per index and journals only fresh ones, so a
    duplicate is a contract violation. *)
-let inspect_one (seen : (string, unit) Hashtbl.t) (path : string) : bool =
+let inspect_one (seen : (int, unit) Hashtbl.t) (path : string) : bool =
   let records, valid_end = Journal.load path in
   let size = (Unix.stat path).Unix.st_size in
   let torn = size - valid_end in
   Printf.printf "%s\n" path;
   let dups =
     match records with
-    | Csexp.List
-        [
-          Csexp.Atom magic; Csexp.Atom version; Csexp.Atom tag; Csexp.Atom total;
-        ]
-      :: rest
-      when magic = "fliptracker-journal" ->
-        Printf.printf "  header: v%s tag %s, %s trials planned\n" version tag
-          total;
-        let ok = ref 0 and infra = Hashtbl.create 4 and other = ref 0 in
-        let trials = ref 0 and dups = ref 0 in
-        List.iter
-          (fun r ->
-            match r with
-            | Csexp.List
-                (Csexp.Atom "t" :: Csexp.Atom idx :: Csexp.Atom verdict :: _) ->
-                if Hashtbl.mem seen idx then incr dups
-                else begin
-                  Hashtbl.add seen idx ();
-                  incr trials;
-                  if verdict = "ok" then incr ok
-                  else
-                    let k =
-                      match r with
-                      | Csexp.List [ _; _; _; Csexp.Atom m ] ->
-                          Infra.kind_of_message m
-                      | _ -> "unknown"
-                    in
-                    Hashtbl.replace infra k
-                      (1 + Option.value ~default:0 (Hashtbl.find_opt infra k))
-                end
-            | _ -> incr other)
-          rest;
-        Printf.printf "  records: %d trials (%d ok" !trials !ok;
-        Hashtbl.iter (fun k v -> Printf.printf ", %d infra/%s" v k) infra;
-        Printf.printf ")%s%s\n"
-          (if !dups > 0 then
-             Printf.sprintf ", %d DUPLICATE trial records (contract violation)"
-               !dups
-           else "")
-          (if !other > 0 then Printf.sprintf ", %d foreign records" !other
-           else "");
-        !dups
     | [] ->
         Printf.printf "  empty journal\n";
         0
-    | _ ->
-        Printf.printf "  NO VALID HEADER (not a campaign journal?)\n";
-        0
+    | header :: rest -> (
+        match Ledger.parse_header header with
+        | None ->
+            Printf.printf "  NO VALID HEADER (not a campaign journal?)\n";
+            0
+        | Some (version, tag, total) ->
+            Printf.printf "  header: v%s tag %s, %d trials planned\n" version
+              tag total;
+            let ok = ref 0 and infra = Hashtbl.create 4 and other = ref 0 in
+            let trials = ref 0 and dups = ref 0 in
+            let bump k =
+              Hashtbl.replace infra k
+                (1 + Option.value ~default:0 (Hashtbl.find_opt infra k))
+            in
+            List.iter
+              (fun r ->
+                (* payloads stay opaque: any [ok] payload decodes *)
+                match Ledger.parse_trial Option.some r with
+                | None -> incr other
+                | Some (idx, _) when Hashtbl.mem seen idx -> incr dups
+                | Some (idx, o) -> (
+                    Hashtbl.add seen idx ();
+                    incr trials;
+                    match o with
+                    | Ledger.Done _ -> incr ok
+                    | Ledger.Infra_error m -> bump (Infra.kind_of_message m)))
+              rest;
+            Printf.printf "  records: %d trials (%d ok" !trials !ok;
+            Hashtbl.iter (fun k v -> Printf.printf ", %d infra/%s" v k) infra;
+            Printf.printf ")%s%s\n"
+              (if !dups > 0 then
+                 Printf.sprintf
+                   ", %d DUPLICATE trial records (contract violation)" !dups
+               else "")
+              (if !other > 0 then
+                 Printf.sprintf ", %d foreign records" !other
+               else "");
+            !dups)
   in
   Printf.printf "  valid prefix: %d of %d bytes%s\n" valid_end size
     (if torn > 0 then
@@ -390,6 +388,14 @@ let chaos_campaign (name : string) ~(workers : int) ~(kills : int list)
         exit 1
       end
 
+let rec rm_tree (path : string) =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_tree (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
 (* Multi-tenant mode of the same gate ([--tenants K], [--tcp N]):
    K campaigns over one fair-share scheduler and a mixed pool of
    forked and remote-TCP workers, with chaos kills landing on whoever
@@ -397,7 +403,9 @@ let chaos_campaign (name : string) ~(workers : int) ~(kills : int list)
    tag — the journal-directory-collision regression: their ids and
    journal directories must still be distinct); the rest shrink the
    trial design.  Every tenant's counts must be byte-identical to its
-   own in-process [--jobs 1] run. *)
+   own in-process [--jobs 1] run.  The plan cache and journals live in
+   per-process temp directories: removed after a passing run, kept (and
+   named) after a failing one so the journals can be inspected. *)
 let chaos_multi (name : string) ~(workers : int) ~(tcp : int)
     ~(tenants : int) ~(kills : int list) ~(trials : int) =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -589,10 +597,14 @@ let chaos_multi (name : string) ~(workers : int) ~(tcp : int)
       if String.equal id0 id1 then
         fail "chaos-multi: FAILED (duplicate specs share a campaign id)"
   | _ -> ());
-  if !failures = 0 then
+  if !failures = 0 then begin
+    rm_tree cache_dir;
+    rm_tree journal_root;
     print_endline "chaos-multi: OK (every tenant byte-identical to --jobs 1)"
+  end
   else begin
-    Printf.printf "chaos-multi: %d check(s) FAILED\n" !failures;
+    Printf.printf "chaos-multi: %d check(s) FAILED (kept %s and %s)\n"
+      !failures cache_dir journal_root;
     exit 1
   end
 
@@ -752,4 +764,11 @@ let () =
           Printf.printf "%s pc %d line %d region %d\n" s.Static_detect.fname
             s.Static_detect.pc s.Static_detect.line s.Static_detect.region)
         r.Static_detect.repeated_adds
-  | _ -> sanity ()
+  | [ _ ] -> sanity ()
+  | _ ->
+      prerr_endline
+        "usage: ft_dev [lint-all | profile [APP] | opt [APP] | trial-cost \
+         [APP] | opt-dump [APP] | trace-roundtrip [APP] | journal \
+         inspect|verify PATH | chaos-campaign [APP] [OPTIONS] | seq-parity \
+         [APP...] | sites | radd APP]";
+      exit 2

@@ -137,23 +137,6 @@ let run_one_with (run : Machine.config -> Machine.result) ~(budget : int)
     (fun cfg k -> k (run cfg))
     ~budget ?watchdog ~recovery ~verify (Some fault)
 
-(** Run one faulty execution and classify it.  [verify] receives the
-    machine result of a {e finished} run and decides Success/Failed;
-    traps, budget exhaustion, and a tripped wall-clock [watchdog]
-    classify as Crashed without consulting it.  Under a [Rollback]
-    policy, a run that finishes verified but took at least one restore
-    classifies as Recovered: correct output, but not naturally so.
-    [backend] picks the execution engine; the compiled default is
-    count- and outcome-identical to the interpreter, and a [Rollback]
-    policy falls back to the interpreter automatically (checkpointing
-    is interpreter-only machinery). *)
-let run_one ?(backend = Backend.default) (prog : Prog.t) ~(budget : int)
-    ?(watchdog : Watchdog.t option) ?(recovery = No_recovery)
-    ~(verify : Machine.result -> bool) (fault : Machine.fault) : outcome_class
-    =
-  classify_run (Backend.scoped backend prog) ~budget ?watchdog ~recovery
-    ~verify (Some fault)
-
 (* --- fault-site populations ------------------------------------------ *)
 
 (** A fault site carries the width of the datum it corrupts: the

@@ -55,22 +55,6 @@ val machine_recover : recovery -> Machine.recover option
     ({!Mem.copy}) if a verdict needs it later.  Every in-tree verify
     reads only [r.output]. *)
 
-val run_one :
-  ?backend:Backend.t ->
-  Prog.t ->
-  budget:int ->
-  ?watchdog:Watchdog.t ->
-  ?recovery:recovery ->
-  verify:(Machine.result -> bool) ->
-  Machine.fault ->
-  outcome_class
-(** One faulty execution, classified.  Traps, instruction-budget
-    exhaustion, and a tripped wall-clock [watchdog] are Crashed.  Under
-    [Rollback], a finished verified run that took at least one restore
-    is Recovered.  [backend] (default {!Backend.default}) picks the
-    execution engine; outcomes are identical either way — a [Rollback]
-    policy falls back to the interpreter automatically. *)
-
 val run_one_with :
   (Machine.config -> Machine.result) ->
   budget:int ->
@@ -90,8 +74,11 @@ val classify_run :
   verify:(Machine.result -> bool) ->
   Machine.fault option ->
   outcome_class
-(** The kernel itself, over a scoped execution function (see
-    {!Backend.scoped}) and an {e optional} VM fault: the run is
+(** One faulty execution, classified.  Traps, instruction-budget
+    exhaustion, and a tripped wall-clock [watchdog] are Crashed.  Under
+    [Rollback], a finished verified run that took at least one restore
+    is Recovered.  The kernel runs over a scoped execution function
+    (see {!Backend.scoped}) and an {e optional} VM fault: the run is
     classified inside its scope, so the compiled backend copies
     nothing out of its trial arena.  [None] means the corruption is
     already baked into the program being run (the instruction-store

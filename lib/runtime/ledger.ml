@@ -53,6 +53,13 @@ let version = "1"
 let header_record (s : 'a spec) : Csexp.t =
   Csexp.(List [ Atom magic; Atom version; Atom s.tag; Atom (string_of_int s.total) ])
 
+let parse_header (r : Csexp.t) : (string * string * int) option =
+  match r with
+  | Csexp.(List [ Atom m; Atom version; Atom tag; Atom total ]) when m = magic
+    ->
+      Option.map (fun n -> (version, tag, n)) (int_of_string_opt total)
+  | _ -> None
+
 let trial_record (encode : 'a -> string) (idx : int) (o : 'a outcome) : Csexp.t =
   let open Csexp in
   match o with
@@ -150,10 +157,9 @@ let advance (l : 'a t) : unit =
       done
 
 let describe_header (h : Csexp.t) : string =
-  match h with
-  | Csexp.(List [ Atom m; Atom _; Atom tag; Atom total ]) when m = magic ->
-      Printf.sprintf "campaign %S of %s trials" tag total
-  | h -> Csexp.to_string h
+  match parse_header h with
+  | Some (_, tag, total) -> Printf.sprintf "campaign %S of %d trials" tag total
+  | None -> Csexp.to_string h
 
 let open_journal (l : 'a t) : unit =
   (match l.paths with

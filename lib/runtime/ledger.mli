@@ -62,6 +62,10 @@ val header_record : 'a spec -> Csexp.t
 (** [(magic version tag total)] — the first record of every journal
     file. *)
 
+val parse_header : Csexp.t -> (string * string * int) option
+(** Inverse of {!header_record}: [Some (version, tag, total)]; [None]
+    on any other record shape. *)
+
 val trial_record : ('a -> string) -> int -> 'a outcome -> Csexp.t
 (** [(t idx ok payload)] or [(t idx err message)]. *)
 

@@ -364,7 +364,11 @@ let test_hang_classified_as_crashed () =
   in
   let budget = 20 * clean.Machine.instructions in
   let outcome =
-    Campaign.run_one prog ~budget ~verify:(fun _ -> true) fault
+    Campaign.classify_run
+      (Backend.scoped Backend.default prog)
+      ~budget
+      ~verify:(fun _ -> true)
+      (Some fault)
   in
   Alcotest.(check bool) "hang is Crashed" true (outcome = Campaign.Crashed);
   (* the budget is what cuts the hang: the same faulty run, executed
